@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke
+.PHONY: verify build test vet race bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke size
 
 verify: build test vet race chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
 
@@ -103,3 +103,13 @@ reconfig-smoke:
 docs-check:
 	$(GO) run ./cmd/docs-check internal/obs internal/ctrlplane
 	$(GO) run ./cmd/docs-check -flags cmd/flexlog-server cmd/flexlog-cli
+
+# Code-size ledger for simplicity work (ROADMAP: track net non-test lines,
+# wire tags and config fields): non-test Go lines of the root module
+# (perfbench/ is its own module and excluded), the wire type tags in
+# internal/proto/wire.go (tag 255 included), and the fields of every
+# *Config struct in the replica, seq and core packages.
+size:
+	@echo "go_lines      $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l)"
+	@echo "wire_tags     $$(grep -cE '^[[:space:]]+Tag[A-Za-z]+[[:space:]]+byte = [0-9]+' internal/proto/wire.go)"
+	@echo "config_fields $$(awk '/^type [A-Za-z]*Config struct \{/ { f = 1; next } f && /^\}/ { f = 0 } f { sub(/\/\/.*/, ""); if (NF == 0) next; n++; for (i = 1; i < NF; i++) if ($$i ~ /,$$/) n++ } END { print n }' $$(ls internal/replica/*.go internal/seq/*.go internal/core/*.go | grep -v '_test\.go$$'))"

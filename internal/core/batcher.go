@@ -311,14 +311,12 @@ func (b *shardBatcher) cut() (items []*pendingAppend, recs, bytes int) {
 func (b *shardBatcher) flush(items []*pendingAppend, recs, bytes int) {
 	c := b.c
 	token := c.nextToken()
-	w := &appendWait{
-		needed: make(map[types.NodeID]bool, len(b.shard.Replicas)),
-		acked:  make(map[types.NodeID]bool, len(b.shard.Replicas)),
-		done:   make(chan struct{}),
+	sets := make([][][]byte, len(items))
+	for i, it := range items {
+		sets[i] = it.records
 	}
-	for _, id := range b.shard.Replicas {
-		w.needed[id] = true
-	}
+	req := proto.AppendBatchReq{Color: b.color, Token: token, Sets: sets, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
+	w := c.newAppendWait(b.shard, req)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -334,12 +332,7 @@ func (b *shardBatcher) flush(items []*pendingAppend, recs, bytes int) {
 	c.met.QueueDelay.Record(time.Since(items[0].enqueued))
 	c.met.Batches.Add(1)
 
-	sets := make([][][]byte, len(items))
-	for i, it := range items {
-		sets[i] = it.records
-	}
-	req := proto.AppendBatchReq{Color: b.color, Token: token, Sets: sets, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
-	c.ep.Broadcast(b.shard.Replicas, req)
+	c.ep.Broadcast(b.shard.Replicas, w.req)
 	go b.await(token, w, req, items, recs)
 }
 
@@ -383,16 +376,7 @@ func (b *shardBatcher) await(token types.Token, w *appendWait, req proto.AppendB
 			}
 			c.mu.Lock()
 			if !w.closed {
-				clear(w.needed)
-				for _, id := range cur.Replicas {
-					if !w.acked[id] {
-						w.needed[id] = true
-					}
-				}
-				if len(w.needed) == 0 {
-					w.closed = true
-					close(w.done)
-				}
+				w.coverLocked(cur)
 			}
 			c.mu.Unlock()
 			select {

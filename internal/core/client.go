@@ -160,6 +160,46 @@ type appendWait struct {
 	hint   time.Duration // server retry-after hint; consumed by the retry loop
 	done   chan struct{}
 	closed bool
+
+	// The request and its shard, so completion can be fenced on the
+	// shard's membership at that time.
+	req   transport.Message
+	shard types.ShardID
+}
+
+// newAppendWait builds the ack barrier for req, sent to shard's members.
+func (c *Client) newAppendWait(shard topology.ShardInfo, req transport.Message) *appendWait {
+	w := &appendWait{
+		needed: make(map[types.NodeID]bool, len(shard.Replicas)),
+		acked:  make(map[types.NodeID]bool, len(shard.Replicas)),
+		done:   make(chan struct{}),
+		req:    req,
+		shard:  shard.ID,
+	}
+	for _, id := range shard.Replicas {
+		w.needed[id] = true
+	}
+	return w
+}
+
+// coverLocked resets the ack barrier to the members of cur that have not
+// acked, closing the wait when there are none, and returns them. A
+// departed member can no longer wedge the wait, and a member promoted in
+// meanwhile must ack before completion. Caller holds c.mu; w is open.
+func (w *appendWait) coverLocked(cur topology.ShardInfo) []types.NodeID {
+	clear(w.needed)
+	var missing []types.NodeID
+	for _, id := range cur.Replicas {
+		if !w.acked[id] {
+			w.needed[id] = true
+			missing = append(missing, id)
+		}
+	}
+	if len(missing) == 0 {
+		w.closed = true
+		close(w.done)
+	}
+	return missing
 }
 
 type readWait struct {
@@ -304,6 +344,8 @@ func (c *Client) nextToken() types.Token {
 func (c *Client) handle(from types.NodeID, msg transport.Message) {
 	switch m := msg.(type) {
 	case proto.AppendAck:
+		var missing []types.NodeID
+		var req transport.Message
 		c.mu.Lock()
 		w := c.appends[m.Token]
 		// The closed guard covers every mutation, not just the close: a
@@ -316,11 +358,24 @@ func (c *Client) handle(from types.NodeID, msg transport.Message) {
 				w.sn = m.SN
 			}
 			if len(w.needed) == 0 {
-				w.closed = true
-				close(w.done)
+				// Every member the request went to acked. The append is
+				// complete only if those are all the shard's current
+				// members; a replica promoted in meanwhile is sent the
+				// request and must ack too. An acked append must be on
+				// every member at ack time, or a read served by the new
+				// member would miss it.
+				if cur, err := c.topo.Shard(w.shard); err == nil {
+					missing, req = w.coverLocked(cur), w.req
+				} else { // shard removed (merge cutover): its members acked
+					w.closed = true
+					close(w.done)
+				}
 			}
 		}
 		c.mu.Unlock()
+		for _, id := range missing {
+			c.ep.Send(id, req)
+		}
 	case proto.ReadResp:
 		c.mu.Lock()
 		w := c.reads[m.ID]
@@ -504,14 +559,8 @@ func (c *Client) AsyncAppend(records [][]byte, color types.ColorID) *AppendFutur
 // returns the assigned SN together with the token used.
 func (c *Client) appendToShard(ctx context.Context, records [][]byte, color types.ColorID, shard topology.ShardInfo) (types.SN, types.Token, error) {
 	token := c.nextToken()
-	w := &appendWait{
-		needed: make(map[types.NodeID]bool, len(shard.Replicas)),
-		acked:  make(map[types.NodeID]bool, len(shard.Replicas)),
-		done:   make(chan struct{}),
-	}
-	for _, id := range shard.Replicas {
-		w.needed[id] = true
-	}
+	var req transport.Message = proto.AppendReq{Color: color, Token: token, Records: records, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
+	w := c.newAppendWait(shard, req)
 	c.mu.Lock()
 	c.appends[token] = w
 	c.mu.Unlock()
@@ -521,7 +570,6 @@ func (c *Client) appendToShard(ctx context.Context, records [][]byte, color type
 		c.mu.Unlock()
 	}()
 
-	req := proto.AppendReq{Color: color, Token: token, Records: records, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
 	deadline := time.Now().Add(c.cfg.Timeout)
 	bo := c.newBackoff()
 	for {
@@ -563,10 +611,8 @@ func (c *Client) appendToShard(ctx context.Context, records [][]byte, color type
 			// this append (replica drained out, or a caught-up replica
 			// promoted in). Re-resolve before re-broadcasting and rebuild
 			// the ack barrier as the CURRENT members minus those that
-			// already acked — a departed replica can no longer wedge the
-			// wait, a newly promoted one must ack before completion. A
-			// shard removed outright (merge cutover) surfaces the typed
-			// retryable rejection.
+			// already acked. A shard removed outright (merge cutover)
+			// surfaces the typed retryable rejection.
 			cur, err := c.topo.Shard(shard.ID)
 			if err != nil {
 				c.mu.Lock()
@@ -580,16 +626,7 @@ func (c *Client) appendToShard(ctx context.Context, records [][]byte, color type
 			shard = cur
 			c.mu.Lock()
 			if !w.closed {
-				clear(w.needed)
-				for _, id := range cur.Replicas {
-					if !w.acked[id] {
-						w.needed[id] = true
-					}
-				}
-				if len(w.needed) == 0 {
-					w.closed = true
-					close(w.done)
-				}
+				w.coverLocked(cur)
 			}
 			c.mu.Unlock()
 			select {

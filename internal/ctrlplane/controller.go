@@ -561,16 +561,18 @@ func pendingTotal(reps []*replica.Replica) int {
 }
 
 // migrateRecords copies every committed record the donor holds into every
-// destination replica at its authoritative SN. Ingestion is idempotent, so
-// a partially-failed migration can simply be re-run.
+// destination replica at its authoritative SN, through the same budgeted
+// catch-up pull a recovering or joining replica uses, one round at a time.
+// Ingestion is idempotent, so a partially-failed migration can simply be
+// re-run.
 func migrateRecords(donor *replica.Replica, dsts []*replica.Replica) error {
-	recs, err := donor.CommittedRecords()
-	if err != nil {
-		return fmt.Errorf("ctrlplane: scanning merge donor: %w", err)
-	}
-	for color, wire := range recs {
-		for _, d := range dsts {
-			d.IngestCommitted(color, wire)
+	for _, d := range dsts {
+		cursor := make(map[types.ColorID]types.SN)
+		for more := true; more; {
+			var err error
+			if more, err = d.CatchupFrom(donor, cursor); err != nil {
+				return fmt.Errorf("ctrlplane: scanning merge donor: %w", err)
+			}
 		}
 	}
 	return nil

@@ -10,11 +10,14 @@ import (
 // decode→encode round normalizes the frame (varints may arrive
 // non-minimal, map keys in any order), after which decode→encode must be
 // byte-stable. Seeded with every golden frame so the corpus covers all
-// message types from run one.
+// message types from run one, and with the frames of retired tags.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for _, g := range goldenFrames {
 		frame := encodeFrame(f, g.msg)
 		f.Add(frame[4:])
+	}
+	for _, frame := range retiredFrames {
+		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		from, msg, err := DecodeFrame(data)
@@ -46,7 +49,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 }
 
 // FuzzCodecDecodeNoPanic hammers every typed decoder with raw bytes under
-// all 32 tags plus invalid ones: any outcome but a panic or a runaway
+// every tag plus invalid ones: any outcome but a panic or a runaway
 // allocation is acceptable.
 func FuzzCodecDecodeNoPanic(f *testing.F) {
 	f.Add(byte(1), []byte{})

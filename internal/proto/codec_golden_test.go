@@ -2,6 +2,7 @@ package proto
 
 import (
 	"encoding/hex"
+	"errors"
 	"testing"
 
 	"flexlog/internal/types"
@@ -82,19 +83,15 @@ var goldenFrames = []struct {
 		"050000001bf4030602"},
 	{"SyncState", SyncState{ID: 0x6, Epoch: 0x2, MaxSNs: map[types.ColorID]types.SN{0x0: 0x100000004, 0x3: 0x100000002}, Trimmed: map[types.ColorID]types.SN{0x0: 0x100000001}, From: 0x2},
 		"1a0000001cf4030602020084808080100382808080100100818080801002"},
-	{"SyncFetch", SyncFetch{ID: 0x6, Have: map[types.ColorID]types.SN{0x0: 0x100000002}, From: 0x2},
-		"0c0000001df403060100828080801002"},
-	{"SyncEntries", SyncEntries{ID: 0x6, Records: map[types.ColorID][]WireRecord{0x0: []WireRecord{WireRecord{Token: 0x1, SN: 0x100000003, Data: []uint8{0x65}}}}},
-		"0f0000001ef403060100010183808080100165"},
 	{"SyncCatchup", SyncCatchup{ID: 0x6, UpToDate: 0x3, Max: map[types.ColorID]types.SN{0x0: 0x100000004}, Trimmed: map[types.ColorID]types.SN(nil), Epoch: 0x2, From: 0x2},
 		"0f0000001ff403060301008480808010000202"},
 	{"SyncDone", SyncDone{ID: 0x6, From: 0x3},
 		"0500000020f4030603"},
 	{"Reject", Reject{Token: 0xb, ID: 0x4d, Color: 0x3, Tenant: 0x7, Code: RejectThrottled, IsRead: false, RetryAfterMicros: 1500},
 		"0b00000021f4030b4d03070100dc0b"},
-	{"JoinFetch", JoinFetch{ID: 0x6, Have: map[types.ColorID]types.SN{0x0: 0x100000002}, Budget: 0x80, From: 0x2},
-		"0e00000024f4030601008280808010800102"},
-	{"JoinEntries", JoinEntries{ID: 0x6, Records: map[types.ColorID][]WireRecord{0x0: {WireRecord{Token: 0x1, SN: 0x100000003, Data: []uint8{0x65}}}}, Frontier: map[types.ColorID]types.SN{0x0: 0x100000004}, More: true, From: 0x3},
+	{"CatchupFetch", CatchupFetch{ID: 0x6, Have: map[types.ColorID]types.SN{0x0: 0x100000002}, From: 0x2},
+		"0c00000024f403060100828080801002"},
+	{"CatchupEntries", CatchupEntries{ID: 0x6, Records: map[types.ColorID][]WireRecord{0x0: {WireRecord{Token: 0x1, SN: 0x100000003, Data: []uint8{0x65}}}}, Frontier: map[types.ColorID]types.SN{0x0: 0x100000004}, More: true, From: 0x3},
 		"1800000025f403060100010183808080100165010084808080100103"},
 	{"TopoUpdate", TopoUpdate{Version: 0x7, Regions: []TopoRegion{
 		{Color: 0x0, Parent: 0x0, Leader: 0x64, Backups: []types.NodeID{0x65}, Members: []types.NodeID{0x64, 0x65}, IsRoot: true},
@@ -141,6 +138,24 @@ func TestCodecGoldenBytes(t *testing.T) {
 	}
 }
 
+// retiredFrames are frames (tag, sender, body; no length prefix) of
+// deleted message types, as an old peer would still send them. Their tags
+// are never reused, so they must decode as ErrBadFrame, never be misread.
+var retiredFrames = [][]byte{
+	{29, 0xf4, 0x03, 0x06, 0x01, 0x00, 0x82, 0x80, 0x80, 0x80, 0x10, 0x02},                   // SyncFetch
+	{30, 0xf4, 0x03, 0x06, 0x01, 0x00, 0x01, 0x01, 0x83, 0x80, 0x80, 0x80, 0x10, 0x01, 0x65}, // SyncEntries
+}
+
+// TestRetiredTagsDecodeAsBadFrame checks that a frame carrying a retired
+// tag is rejected as malformed.
+func TestRetiredTagsDecodeAsBadFrame(t *testing.T) {
+	for _, frame := range retiredFrames {
+		if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("tag %d: err = %v, want ErrBadFrame", frame[0], err)
+		}
+	}
+}
+
 // TestCodecGoldenCoversAllTags ensures the golden table exercises every
 // codec-native tag, so adding a message type without pinning its bytes
 // fails here.
@@ -152,6 +167,9 @@ func TestCodecGoldenCoversAllTags(t *testing.T) {
 			t.Fatalf("%s is not codec-native", g.name)
 		}
 		seen[wm.wireTag()] = true
+	}
+	for _, frame := range retiredFrames {
+		seen[frame[0]] = true
 	}
 	for tag := TagAppendReq; tag <= TagCtrlAck; tag++ {
 		if !seen[tag] {

@@ -388,20 +388,6 @@ type SyncState struct {
 	From    types.NodeID
 }
 
-// SyncFetch asks the most up-to-date replica for records the requester is
-// missing (per color, everything above Have).
-type SyncFetch struct {
-	ID   uint64
-	Have map[types.ColorID]types.SN
-	From types.NodeID
-}
-
-// SyncEntries returns the missing committed records.
-type SyncEntries struct {
-	ID      uint64
-	Records map[types.ColorID][]WireRecord
-}
-
 // SyncCatchup is the coordinator's round-2 broadcast naming the most
 // up-to-date replica; outdated peers fetch missing entries from it (§6.3:
 // "it broadcasts the most up-to-date replica id").
@@ -426,28 +412,27 @@ type SyncDone struct {
 
 // ---- Reconfiguration control plane (DESIGN.md §15) ----
 
-// JoinFetch is a catch-up request from a replica outside (or being merged
-// out of) a shard's serving set to a donor replica: send committed records
-// above Have, per color. Unlike the sync-phase SyncFetch it never pauses
-// the donor — catch-up runs in the background under live traffic. Budget
-// bounds the records per color in one reply so a far-behind joiner fetches
-// in rounds instead of one giant frame.
-type JoinFetch struct {
-	ID     uint64
-	Have   map[types.ColorID]types.SN
-	Budget uint32 // max records per color per reply; 0 = unlimited
-	From   types.NodeID
+// CatchupFetch is one round of the catch-up pull, the only state-transfer
+// path between replicas: the sync-phase's outdated replicas (§6.3), a
+// joining replica (DESIGN.md §15) and a shard merge all ask a donor for
+// the committed records above Have, per color. The donor answers from
+// current storage and never pauses for it.
+type CatchupFetch struct {
+	ID   uint64
+	Have map[types.ColorID]types.SN
+	From types.NodeID
 }
 
-// JoinEntries is the donor's reply to a JoinFetch: the missing committed
-// records plus the donor's own committed frontier, from which the joiner
-// computes its catch-up lag (the promotion gate). More marks a reply
-// truncated by the fetch budget — the joiner immediately fetches again.
-type JoinEntries struct {
+// CatchupEntries is the donor's reply to a CatchupFetch: the missing
+// committed records, cut at a fixed byte budget far below MaxFrame, plus
+// the donor's own committed frontier, from which a joiner computes its
+// catch-up lag (the promotion gate). More marks a reply the budget cut
+// short — the requester fetches the next round at once.
+type CatchupEntries struct {
 	ID       uint64
 	Records  map[types.ColorID][]WireRecord
 	Frontier map[types.ColorID]types.SN // donor's committed frontier per color
-	More     bool                       // reply truncated by Budget; fetch again
+	More     bool                       // reply cut by the budget; fetch again
 	From     types.NodeID
 }
 
@@ -553,12 +538,10 @@ func RegisterGob() {
 	gob.Register(SyncRequest{})
 	gob.Register(SyncState{})
 	gob.Register(SyncCatchup{})
-	gob.Register(SyncFetch{})
-	gob.Register(SyncEntries{})
 	gob.Register(SyncDone{})
 	gob.Register(Reject{})
-	gob.Register(JoinFetch{})
-	gob.Register(JoinEntries{})
+	gob.Register(CatchupFetch{})
+	gob.Register(CatchupEntries{})
 	gob.Register(TopoUpdate{})
 	gob.Register(CtrlReconfig{})
 	gob.Register(CtrlAck{})

@@ -43,8 +43,8 @@ func everyMessage() []interface{} {
 		SyncRequest{ID: 1, From: 2},
 		SyncState{ID: 1, Epoch: 2, MaxSNs: map[types.ColorID]types.SN{3: 4}, From: 5},
 		SyncCatchup{ID: 1, UpToDate: 2, Max: map[types.ColorID]types.SN{3: 4}, Epoch: 5, From: 6},
-		SyncFetch{ID: 1, Have: map[types.ColorID]types.SN{2: 3}, From: 4},
-		SyncEntries{ID: 1, Records: map[types.ColorID][]WireRecord{2: {{Token: 3, SN: 4, Data: []byte("d")}}}},
+		CatchupFetch{ID: 1, Have: map[types.ColorID]types.SN{2: 3}, From: 4},
+		CatchupEntries{ID: 1, Records: map[types.ColorID][]WireRecord{2: {{Token: 3, SN: 4, Data: []byte("d")}}}, Frontier: map[types.ColorID]types.SN{2: 4}, More: true, From: 5},
 		SyncDone{ID: 1, From: 2},
 	}
 }

@@ -48,7 +48,10 @@ var Magic = [4]byte{'F', 'L', 'X', '1'}
 const MaxFrame = 1 << 28
 
 // Wire type tags, one per message (DESIGN.md §12 pins these: changing a
-// value breaks cross-version framing and the golden-bytes test).
+// value breaks cross-version framing and the golden-bytes test). Tags 29
+// and 30 belonged to the retired SyncFetch/SyncEntries pair — the
+// sync-phase now pulls through CatchupFetch/CatchupEntries — and are
+// never reused: they decode as ErrBadFrame.
 const (
 	TagAppendReq         byte = 1
 	TagAppendBatchReq    byte = 2
@@ -78,15 +81,13 @@ const (
 	TagReplicaHeartbeat  byte = 26
 	TagSyncRequest       byte = 27
 	TagSyncState         byte = 28
-	TagSyncFetch         byte = 29
-	TagSyncEntries       byte = 30
 	TagSyncCatchup       byte = 31
 	TagSyncDone          byte = 32
 	TagReject            byte = 33
 	TagAggOrderReqBatch  byte = 34
 	TagAggOrderRespBatch byte = 35
-	TagJoinFetch         byte = 36
-	TagJoinEntries       byte = 37
+	TagCatchupFetch      byte = 36
+	TagCatchupEntries    byte = 37
 	TagTopoUpdate        byte = 38
 	TagCtrlReconfig      byte = 39
 	TagCtrlAck           byte = 40
@@ -350,21 +351,6 @@ func decodeBody(tag byte, body []byte) (any, error) {
 			return nil, err
 		}
 		return m, nil
-	case TagSyncFetch:
-		var m SyncFetch
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TagSyncEntries:
-		var m SyncEntries
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		for _, recs := range m.Records {
-			ownRecordData(recs)
-		}
-		return m, nil
 	case TagSyncCatchup:
 		var m SyncCatchup
 		if err := m.Decode(body); err != nil {
@@ -383,14 +369,14 @@ func decodeBody(tag byte, body []byte) (any, error) {
 			return nil, err
 		}
 		return m, nil
-	case TagJoinFetch:
-		var m JoinFetch
+	case TagCatchupFetch:
+		var m CatchupFetch
 		if err := m.Decode(body); err != nil {
 			return nil, err
 		}
 		return m, nil
-	case TagJoinEntries:
-		var m JoinEntries
+	case TagCatchupEntries:
+		var m CatchupEntries
 		if err := m.Decode(body); err != nil {
 			return nil, err
 		}

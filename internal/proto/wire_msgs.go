@@ -648,42 +648,6 @@ func (m *SyncState) Decode(b []byte) error {
 func (m SyncState) wireTag() byte { return TagSyncState }
 
 // AppendTo appends the message body to b. See wire.go.
-func (m SyncFetch) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.ID)
-	b = appendSNMap(b, m.Have)
-	b = appendUvarint(b, uint64(m.From))
-	return b
-}
-
-// Decode parses a message body, reusing the map storage.
-func (m *SyncFetch) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.ID = r.uvarint()
-	m.Have = readSNMap(&r, m.Have)
-	m.From = types.NodeID(r.u32())
-	return r.done()
-}
-
-func (m SyncFetch) wireTag() byte { return TagSyncFetch }
-
-// AppendTo appends the message body to b. See wire.go.
-func (m SyncEntries) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.ID)
-	b = appendRecordsMap(b, m.Records)
-	return b
-}
-
-// Decode parses a message body, aliasing record payloads into b.
-func (m *SyncEntries) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.ID = r.uvarint()
-	m.Records = readRecordsMap(&r, m.Records)
-	return r.done()
-}
-
-func (m SyncEntries) wireTag() byte { return TagSyncEntries }
-
-// AppendTo appends the message body to b. See wire.go.
 func (m SyncCatchup) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendUvarint(b, uint64(m.UpToDate))
@@ -736,28 +700,26 @@ func (m *Reject) Decode(b []byte) error {
 func (m Reject) wireTag() byte { return TagReject }
 
 // AppendTo appends the message body to b. See wire.go.
-func (m JoinFetch) AppendTo(b []byte) []byte {
+func (m CatchupFetch) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendSNMap(b, m.Have)
-	b = appendUvarint(b, uint64(m.Budget))
 	b = appendUvarint(b, uint64(m.From))
 	return b
 }
 
 // Decode parses a message body, reusing the map storage.
-func (m *JoinFetch) Decode(b []byte) error {
+func (m *CatchupFetch) Decode(b []byte) error {
 	r := wireReader{b: b}
 	m.ID = r.uvarint()
 	m.Have = readSNMap(&r, m.Have)
-	m.Budget = r.u32()
 	m.From = types.NodeID(r.u32())
 	return r.done()
 }
 
-func (m JoinFetch) wireTag() byte { return TagJoinFetch }
+func (m CatchupFetch) wireTag() byte { return TagCatchupFetch }
 
 // AppendTo appends the message body to b. See wire.go.
-func (m JoinEntries) AppendTo(b []byte) []byte {
+func (m CatchupEntries) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, m.ID)
 	b = appendRecordsMap(b, m.Records)
 	b = appendSNMap(b, m.Frontier)
@@ -767,7 +729,7 @@ func (m JoinEntries) AppendTo(b []byte) []byte {
 }
 
 // Decode parses a message body, aliasing record payloads into b.
-func (m *JoinEntries) Decode(b []byte) error {
+func (m *CatchupEntries) Decode(b []byte) error {
 	r := wireReader{b: b}
 	m.ID = r.uvarint()
 	m.Records = readRecordsMap(&r, m.Records)
@@ -777,7 +739,7 @@ func (m *JoinEntries) Decode(b []byte) error {
 	return r.done()
 }
 
-func (m JoinEntries) wireTag() byte { return TagJoinEntries }
+func (m CatchupEntries) wireTag() byte { return TagCatchupEntries }
 
 // AppendTo appends the message body to b. See wire.go.
 func (m TopoUpdate) AppendTo(b []byte) []byte {

@@ -64,8 +64,8 @@ func (r *Replica) initObs() {
 		{"flexlog_replica_sync_retries_total", "Stalled sync-phase stages re-driven.", r.stats.syncRetries.Load},
 		{"flexlog_replica_sync_aborts_total", "Wedged sync runs abandoned.", r.stats.syncAborts.Load},
 		{"flexlog_replica_replays_total", "Multi-append record sets replayed.", r.stats.replays.Load},
-		{"flexlog_replica_join_rounds_total", "Join catch-up fetch rounds ingested.", r.stats.joinRounds.Load},
-		{"flexlog_replica_join_records_total", "Records ingested through join catch-up.", r.stats.joinRecords.Load},
+		{"flexlog_replica_catchup_rounds_total", "Catch-up rounds ingested (sync-phase, join and shard merge).", r.stats.catchupRounds.Load},
+		{"flexlog_replica_catchup_records_total", "Records installed by catch-up rounds.", r.stats.catchupRecords.Load},
 		{"flexlog_replica_reconfig_rejects_total", "Appends rejected with Reject(reconfiguring) while draining.", r.stats.reconfigRejects.Load},
 		{"flexlog_replica_topo_applies_total", "Topology snapshots adopted from TopoUpdate broadcasts.", r.stats.topoApplies.Load},
 	} {

@@ -351,7 +351,7 @@ func (r *Replica) expireHeldReads(now time.Time) {
 // synchronized and release the store lock across device reads.
 func (r *Replica) onSubscribe(from types.NodeID, m proto.SubscribeReq) {
 	r.stats.subscribes.Add(1)
-	recs, err := r.st.ScanFrom(m.Color, m.From)
+	recs, err := r.st.ScanFrom(m.Color, m.From, 0)
 	if err != nil {
 		// Never leave the subscriber hanging on a failed scan: an empty
 		// view is indistinguishable from a lagging replica, so the client

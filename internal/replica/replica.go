@@ -108,10 +108,6 @@ type Config struct {
 	// StoreFactory overrides how the storage stack is built (e.g. to
 	// re-attach to restored device snapshots); nil uses storage.New(Store).
 	StoreFactory func(storage.Config) (*storage.Store, error)
-	// JoinBudget caps the records per color one join catch-up round may
-	// carry (DESIGN.md §15); 0 uses 2048. Smaller rounds bound the memory
-	// and wire footprint of a catch-up under live traffic.
-	JoinBudget int
 	// Tenants declares the multi-tenant QoS envelope (DESIGN.md §13):
 	// per-tenant weighted-fair scheduling on both service lanes,
 	// token-bucket admission control at the append ingress, and typed
@@ -193,8 +189,8 @@ type Stats struct {
 	Replays      uint64 // multi-append record sets replayed
 
 	// Reconfiguration (DESIGN.md §15).
-	JoinRounds      uint64 // catch-up fetch rounds ingested while joining
-	JoinRecords     uint64 // records ingested through join catch-up
+	CatchupRounds   uint64 // catch-up rounds ingested (sync-phase, join, merge)
+	CatchupRecords  uint64 // records installed by those rounds
 	ReconfigRejects uint64 // appends answered Reject(reconfiguring) while draining
 	TopoApplies     uint64 // topology snapshots adopted from TopoUpdate
 }
@@ -220,8 +216,8 @@ type counters struct {
 	syncAborts   atomic.Uint64
 	replays      atomic.Uint64
 
-	joinRounds      atomic.Uint64
-	joinRecords     atomic.Uint64
+	catchupRounds   atomic.Uint64
+	catchupRecords  atomic.Uint64
 	reconfigRejects atomic.Uint64
 	topoApplies     atomic.Uint64
 }
@@ -246,8 +242,8 @@ func (c *counters) snapshot() Stats {
 		SyncAborts:   c.syncAborts.Load(),
 		Replays:      c.replays.Load(),
 
-		JoinRounds:      c.joinRounds.Load(),
-		JoinRecords:     c.joinRecords.Load(),
+		CatchupRounds:   c.catchupRounds.Load(),
+		CatchupRecords:  c.catchupRecords.Load(),
 		ReconfigRejects: c.reconfigRejects.Load(),
 		TopoApplies:     c.topoApplies.Load(),
 	}
@@ -287,9 +283,10 @@ type Replica struct {
 	joinLag atomic.Uint64
 
 	mu         sync.Mutex
-	join       *joinState   // active catch-up transfer (ModeJoining)
-	epoch      types.Epoch  // known sequencer epoch (§6.3)
-	seqNode    types.NodeID // current leaf-sequencer leader
+	pulls      map[uint64]*pull // catch-up transfers this replica drives, by id
+	joinID     uint64           // id of the join pull (0 = not joining)
+	epoch      types.Epoch      // known sequencer epoch (§6.3)
+	seqNode    types.NodeID     // current leaf-sequencer leader
 	pending    map[types.Token]*pendingOrder
 	trims      map[uint64]*trimWait
 	initSeq    types.NodeID // sequencer awaiting SeqInitAck after sync
@@ -375,6 +372,7 @@ func newReplica(cfg Config, st *storage.Store) *Replica {
 		replays:  make(map[types.Token]*replayWait),
 		early:    make(map[types.Token]proto.OrderResp),
 		syncRuns: make(map[uint64]*syncRun),
+		pulls:    make(map[uint64]*pull),
 		stopCh:   make(chan struct{}),
 	}
 	r.mode.store(ModeOperational)
@@ -517,16 +515,12 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 		r.onSyncState(m)
 	case proto.SyncCatchup:
 		r.onSyncCatchup(m)
-	case proto.SyncFetch:
-		r.onSyncFetch(from, m)
-	case proto.SyncEntries:
-		r.onSyncEntries(m)
 	case proto.SyncDone:
 		r.onSyncDone(m)
-	case proto.JoinFetch:
-		r.onJoinFetch(from, m)
-	case proto.JoinEntries:
-		r.onJoinEntries(m)
+	case proto.CatchupFetch:
+		r.onCatchupFetch(from, m)
+	case proto.CatchupEntries:
+		r.onCatchupEntries(m)
 	case proto.TopoUpdate:
 		r.onTopoUpdate(m)
 	case proto.CtrlReconfig:
@@ -912,8 +906,9 @@ func (r *Replica) timerLoop() {
 			case ModeSyncing:
 				r.expireHeldReads(now)
 				r.retrySyncRuns(now)
+				r.retryPulls(now)
 			case ModeJoining:
-				r.retryJoin(now)
+				r.retryPulls(now)
 			}
 		}
 	}

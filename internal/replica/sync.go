@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"flexlog/internal/proto"
-	"flexlog/internal/storage"
 	"flexlog/internal/transport"
 	"flexlog/internal/types"
 )
@@ -14,8 +13,9 @@ import (
 //
 //   - replica crash/recovery with the sync-phase: the recovering replica
 //     pauses the shard, peers exchange (epoch, max committed SN), outdated
-//     replicas fetch missing entries from the most up-to-date one, and an
-//     all-to-all SyncDone barrier gates the return to operational mode;
+//     replicas pull missing entries from the most up-to-date one through
+//     the budgeted catch-up pull (catchup.go), and an all-to-all SyncDone
+//     barrier gates the return to operational mode;
 //   - sequencer failover handling: on SeqInit from a new leader the shard
 //     passes through a sync-phase and only then acknowledges, guaranteeing
 //     that interrupted broadcasts of the previous epoch are received by all
@@ -29,25 +29,24 @@ type syncRun struct {
 	coordinator  types.NodeID
 	states       map[types.NodeID]proto.SyncState // coordinator only
 	dones        map[types.NodeID]bool
-	fetching     bool
 	caughtUp     bool
 	participants []types.NodeID // shard replicas (incl. self)
 
 	// Retry state: sync messages are fire-and-forget, so on lossy links
 	// every stage is re-driven until the run completes (retrySyncRuns).
-	started     time.Time
-	lastDrive   time.Time
-	fetchTarget types.NodeID
-	fetchHave   map[types.ColorID]types.SN
+	// progress is the run's start, moved forward by every catch-up round
+	// that ingested records, so only a run that stopped moving is aborted.
+	progress  time.Time
+	lastDrive time.Time
 }
 
-// syncAbortRetries bounds how long a sync run may stall before it is
-// abandoned, in units of RetryTimeout. Retries recover lost messages, but
-// a run whose peer CRASHED mid-run is unrecoverable: Crash wipes the
-// peer's syncRuns, so it can neither answer the old run's barrier nor its
-// coordinator role. Such runs are dropped; a coordinator restarts with a
-// fresh id over the current peers (longer than any structural nemesis
-// window, so only truly wedged runs are aborted).
+// syncAbortRetries bounds how long a sync run may go without progress
+// before it is abandoned, in units of RetryTimeout. Retries recover lost
+// messages, but a run whose peer CRASHED mid-run is unrecoverable: Crash
+// wipes the peer's syncRuns, so it can neither answer the old run's
+// barrier nor its coordinator role. Such runs are dropped; a coordinator
+// restarts with a fresh id over the current peers (longer than any
+// structural nemesis window, so only truly wedged runs are aborted).
 const syncAbortRetries = 10
 
 // Crash simulates a crash failure of the replica process: the devices stop
@@ -59,6 +58,7 @@ func (r *Replica) Crash() {
 	r.pending = make(map[types.Token]*pendingOrder)
 	r.trims = make(map[uint64]*trimWait)
 	r.syncRuns = make(map[uint64]*syncRun)
+	r.pulls = make(map[uint64]*pull)
 	r.mu.Unlock()
 	r.st.Crash()
 }
@@ -90,13 +90,13 @@ func (r *Replica) startSyncPhase() {
 		dones:        make(map[types.NodeID]bool),
 		participants: append([]types.NodeID{r.cfg.ID}, peers...),
 	}
-	run.started = time.Now()
-	run.lastDrive = run.started
+	run.progress = time.Now()
+	run.lastDrive = run.progress
 	r.syncRuns[id] = run
 	r.mode.store(ModeSyncing)
 	r.stats.syncs.Add(1)
 	// Record our own state.
-	run.states[r.cfg.ID] = proto.SyncState{ID: id, Epoch: r.epoch, MaxSNs: r.maxSNsLocked(), Trimmed: r.maxTrimsLocked(), From: r.cfg.ID}
+	run.states[r.cfg.ID] = r.syncStateLocked(id)
 	r.mu.Unlock()
 
 	if len(peers) == 0 {
@@ -112,29 +112,25 @@ func (r *Replica) startSyncPhase() {
 	r.ep.Broadcast(peers, proto.SyncRequest{ID: id, From: r.cfg.ID})
 }
 
-// maxSNsLocked snapshots this replica's per-color committed frontier.
-// Caller holds r.mu (storage does its own locking).
-func (r *Replica) maxSNsLocked() map[types.ColorID]types.SN {
-	out := make(map[types.ColorID]types.SN)
+// syncStateLocked is this replica's SyncState for run id: its epoch and,
+// per color, its committed frontier and trim frontier. The trims ride
+// along so a recovering replica learns about trims that ran during its
+// downtime. Caller holds r.mu (storage does its own locking).
+func (r *Replica) syncStateLocked(id uint64) proto.SyncState {
+	st := proto.SyncState{
+		ID: id, Epoch: r.epoch, From: r.cfg.ID,
+		MaxSNs:  make(map[types.ColorID]types.SN),
+		Trimmed: make(map[types.ColorID]types.SN),
+	}
 	for _, c := range r.topo.Colors() {
 		if sn := r.st.MaxSN(c); sn.Valid() {
-			out[c] = sn
+			st.MaxSNs[c] = sn
 		}
-	}
-	return out
-}
-
-// maxTrimsLocked snapshots this replica's per-color trim frontier; it
-// rides along with the committed frontier in SyncState so recovering
-// replicas learn about trims that ran during their downtime.
-func (r *Replica) maxTrimsLocked() map[types.ColorID]types.SN {
-	out := make(map[types.ColorID]types.SN)
-	for _, c := range r.topo.Colors() {
 		if sn := r.st.Trimmed(c); sn.Valid() {
-			out[c] = sn
+			st.Trimmed[c] = sn
 		}
 	}
-	return out
+	return st
 }
 
 func (r *Replica) onSyncRequest(from types.NodeID, m proto.SyncRequest) {
@@ -149,19 +145,15 @@ func (r *Replica) onSyncRequest(from types.NodeID, m proto.SyncRequest) {
 			id:           m.ID,
 			coordinator:  m.From,
 			dones:        make(map[types.NodeID]bool),
-			participants: append([]types.NodeID{r.cfg.ID}, r.shardPeersLocked()...),
-			started:      time.Now(),
+			participants: append([]types.NodeID{r.cfg.ID}, r.shardPeers()...),
+			progress:     time.Now(),
 		}
 	}
 	r.syncRuns[m.ID].lastDrive = time.Now()
-	state := proto.SyncState{ID: m.ID, Epoch: r.epoch, MaxSNs: r.maxSNsLocked(), Trimmed: r.maxTrimsLocked(), From: r.cfg.ID}
+	state := r.syncStateLocked(m.ID)
 	r.mu.Unlock()
 	r.ep.Send(m.From, state)
 }
-
-// shardPeersLocked is shardPeers without retaking topology locks under mu
-// (topology has its own synchronization; this is just a naming helper).
-func (r *Replica) shardPeersLocked() []types.NodeID { return r.shardPeers() }
 
 func (r *Replica) onSyncState(m proto.SyncState) {
 	r.mu.Lock()
@@ -256,83 +248,26 @@ func (r *Replica) onSyncCatchup(m proto.SyncCatchup) {
 			r.st.Trim(c, sn)
 		}
 	}
-	// Work out whether we are missing anything the up-to-date replica has.
-	need := make(map[types.ColorID]types.SN)
-	have := make(map[types.ColorID]types.SN)
+	// Work out whether we are missing anything the up-to-date replica has
+	// ("the outdated replicas fetch the missing entries from the most
+	// up-to-date one"): pull until a round comes back with More unset,
+	// then join the barrier (onCatchupEntries).
+	cursor := r.catchupCursor()
+	behind := false
 	for c, maxSN := range m.Max {
-		mine := r.st.MaxSN(c)
-		have[c] = mine
-		if mine < maxSN {
-			need[c] = mine
+		if cursor[c] < maxSN {
+			behind = true
 		}
 	}
-	if len(need) == 0 || m.UpToDate == r.cfg.ID {
+	run.lastDrive = time.Now()
+	if !behind || m.UpToDate == r.cfg.ID {
 		run.caughtUp = true
-		run.lastDrive = time.Now()
 		r.mu.Unlock()
 		r.broadcastSyncDone(m.ID)
 		return
 	}
-	run.fetching = true
-	run.fetchTarget = m.UpToDate
-	run.fetchHave = have
-	run.lastDrive = time.Now()
 	r.mu.Unlock()
-	r.ep.Send(m.UpToDate, proto.SyncFetch{ID: m.ID, Have: have, From: r.cfg.ID})
-}
-
-func (r *Replica) onSyncFetch(from types.NodeID, m proto.SyncFetch) {
-	// Serve missing committed records above the requester's frontier
-	// ("the outdated replicas fetch the missing entries from the most
-	// up-to-date one", §6.3).
-	out := make(map[types.ColorID][]proto.WireRecord)
-	for _, c := range r.topo.Colors() {
-		after := m.Have[c]
-		recs, err := r.st.ScanFrom(c, after)
-		if err != nil || len(recs) == 0 {
-			continue
-		}
-		wire := make([]proto.WireRecord, len(recs))
-		for i, rec := range recs {
-			wire[i] = proto.WireRecord{Token: rec.Token, SN: rec.SN, Data: rec.Data}
-		}
-		out[c] = wire
-	}
-	r.ep.Send(from, proto.SyncEntries{ID: m.ID, Records: out})
-}
-
-func (r *Replica) onSyncEntries(m proto.SyncEntries) {
-	r.mu.Lock()
-	run := r.syncRuns[m.ID]
-	if run == nil || !run.fetching {
-		r.mu.Unlock()
-		return
-	}
-	run.fetching = false
-	run.caughtUp = true
-	r.mu.Unlock()
-	// Ingest: persist + commit each record at its authoritative SN.
-	// Tokens already present are just committed (idempotent). Records at
-	// or below the local trim frontier are skipped — they were garbage-
-	// collected by a trim that raced the fetch.
-	for color, recs := range m.Records {
-		frontier := r.st.Trimmed(color)
-		for _, rec := range recs {
-			if rec.SN.Valid() && rec.SN <= frontier {
-				continue
-			}
-			if !r.st.Has(rec.Token) {
-				if err := r.st.Put(color, rec.Token, rec.Data); err != nil {
-					continue
-				}
-			}
-			if err := r.st.Commit(rec.Token, rec.SN); err != nil && err != storage.ErrUnknownToken {
-				continue
-			}
-			r.maxSeen.bump(color, rec.SN)
-		}
-	}
-	r.broadcastSyncDone(m.ID)
+	r.startPull(m.ID, m.UpToDate)
 }
 
 // broadcastSyncDone performs this replica's half of the all-to-all barrier.
@@ -394,6 +329,7 @@ func (r *Replica) completeSync(id uint64) {
 		return
 	}
 	delete(r.syncRuns, id)
+	delete(r.pulls, id)
 	if len(r.syncRuns) == 0 {
 		r.finishSyncLocked()
 	}
@@ -441,7 +377,8 @@ func (r *Replica) finishSyncLocked() {
 // until the run's all-to-all barrier completes:
 //
 //   - a coordinator still collecting states re-broadcasts SyncRequest;
-//   - a fetching replica re-sends its SyncFetch;
+//   - a replica still pulling is left to its pull, which re-drives
+//     itself (retryPulls);
 //   - a replica past catch-up re-broadcasts its SyncDone;
 //   - a participant still waiting for the coordinator's round 2 re-sends
 //     its SyncState (the coordinator re-broadcasts SyncCatchup when its
@@ -459,12 +396,13 @@ func (r *Replica) retrySyncRuns(now time.Time) {
 	restart, aborted := false, false
 	r.mu.Lock()
 	for _, run := range r.syncRuns {
-		if now.Sub(run.started) > syncAbortRetries*retry {
+		if now.Sub(run.progress) > syncAbortRetries*retry {
 			// Wedged beyond repair (a peer crashed and lost the run's
 			// state): abandon the run. A coordinator re-runs the whole
 			// phase with a fresh id; a participant whose last run this was
 			// resumes — it was consistent when the foreign run started.
 			delete(r.syncRuns, run.id)
+			delete(r.pulls, run.id)
 			r.stats.syncAborts.Add(1)
 			aborted = true
 			if run.coordinator == r.cfg.ID {
@@ -472,7 +410,7 @@ func (r *Replica) retrySyncRuns(now time.Time) {
 			}
 			continue
 		}
-		if now.Sub(run.lastDrive) < retry {
+		if r.pulls[run.id] != nil || now.Sub(run.lastDrive) < retry {
 			continue
 		}
 		run.lastDrive = now
@@ -486,11 +424,6 @@ func (r *Replica) retrySyncRuns(now time.Time) {
 				}
 			}
 			acts = append(acts, action{to: missing, msg: proto.SyncRequest{ID: run.id, From: r.cfg.ID}})
-		case run.fetching:
-			acts = append(acts, action{
-				to:  []types.NodeID{run.fetchTarget},
-				msg: proto.SyncFetch{ID: run.id, Have: run.fetchHave, From: r.cfg.ID},
-			})
 		case run.caughtUp:
 			var peers []types.NodeID
 			for _, p := range run.participants {
@@ -501,8 +434,7 @@ func (r *Replica) retrySyncRuns(now time.Time) {
 			acts = append(acts, action{to: peers, msg: proto.SyncDone{ID: run.id, From: r.cfg.ID}})
 		default:
 			// Waiting for SyncCatchup: nudge the coordinator with our state.
-			state := proto.SyncState{ID: run.id, Epoch: r.epoch, MaxSNs: r.maxSNsLocked(), Trimmed: r.maxTrimsLocked(), From: r.cfg.ID}
-			acts = append(acts, action{to: []types.NodeID{run.coordinator}, msg: state})
+			acts = append(acts, action{to: []types.NodeID{run.coordinator}, msg: r.syncStateLocked(run.id)})
 		}
 	}
 	// Only the abort path may finish here: Recover stores ModeSyncing just

@@ -676,17 +676,19 @@ func (st *Store) Bounds(color types.ColorID) (head, tail types.SN) {
 	return ci.boundsLocked()
 }
 
-// Scan returns all committed records of the color sorted by SN (the
-// replica-local half of the Subscribe protocol, §6.2).
-func (st *Store) Scan(color types.ColorID) ([]types.Record, error) {
-	return st.ScanFrom(color, types.InvalidSN)
-}
-
-// ScanFrom returns committed records of the color with SN > after, sorted.
-// Only the matching refs are snapshotted and read — a subscriber tailing
-// the log no longer pays device reads for the prefix it already has — and
-// each device read runs with no store lock held (see Get).
-func (st *Store) ScanFrom(color types.ColorID, after types.SN) ([]types.Record, error) {
+// ScanFrom returns committed records of the color with SN > after, sorted:
+// the replica-local half of the Subscribe protocol (§6.2) and the donor
+// side of the catch-up pull. Only the matching refs are snapshotted and
+// read — a subscriber tailing the log no longer pays device reads for the
+// prefix it already has — and each device read runs with no store lock
+// held (see Get).
+//
+// maxBytes > 0 caps the summed Data length of the result: the scan stops
+// reading before the first append batch that would cross it, so a batch
+// is never split. The first batch is returned even when it alone is
+// larger, so a capped scan always makes progress. maxBytes <= 0 reads the
+// whole tail.
+func (st *Store) ScanFrom(color types.ColorID, after types.SN, maxBytes int) ([]types.Record, error) {
 	type snRef struct {
 		sn  types.SN
 		ref recordRef
@@ -704,6 +706,22 @@ func (st *Store) ScanFrom(color types.ColorID, after types.SN) ([]types.Record, 
 	}
 	ci.mu.RUnlock()
 	sort.Slice(refs, func(i, j int) bool { return refs[i].sn < refs[j].sn })
+	if maxBytes > 0 {
+		// A batch's records hold consecutive SNs, so they are adjacent here.
+		total := 0
+		for i := 0; i < len(refs); {
+			j, size := i, 0
+			for ; j < len(refs) && refs[j].ref.loc == refs[i].ref.loc; j++ {
+				size += int(refs[j].ref.loc.spans[refs[j].ref.idx].len)
+			}
+			if i > 0 && total+size > maxBytes {
+				refs = refs[:i]
+				break
+			}
+			total += size
+			i = j
+		}
+	}
 	out := make([]types.Record, 0, len(refs))
 	for _, r := range refs {
 		data, err := st.readLive(r.ref.loc, r.ref.idx)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -142,7 +143,7 @@ func TestScanSortedBySN(t *testing.T) {
 	for _, i := range order {
 		st.Commit(tok(i), sn(i))
 	}
-	recs, err := st.Scan(colorA)
+	recs, err := st.ScanFrom(colorA, types.InvalidSN, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestScanSortedBySN(t *testing.T) {
 		}
 	}
 	// Empty color scans cleanly.
-	if recs, err := st.Scan(colorB); err != nil || len(recs) != 0 {
+	if recs, err := st.ScanFrom(colorB, types.InvalidSN, 0); err != nil || len(recs) != 0 {
 		t.Fatalf("empty scan = %v, %v", recs, err)
 	}
 }
@@ -169,12 +170,60 @@ func TestScanFrom(t *testing.T) {
 		st.Put(colorA, tok(i), payload(i))
 		st.Commit(tok(i), sn(i))
 	}
-	recs, err := st.ScanFrom(colorA, sn(3))
+	recs, err := st.ScanFrom(colorA, sn(3), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 2 || recs[0].SN != sn(4) || recs[1].SN != sn(5) {
 		t.Fatalf("scanFrom = %v", recs)
+	}
+}
+
+// TestScanFromByteCap checks the budgeted scan: it stops before the batch
+// that would cross the cap, never splits a batch, and always returns the
+// first batch even when that batch alone is over the cap.
+func TestScanFromByteCap(t *testing.T) {
+	st := newTestStore(t)
+	rec := func(n int) []byte { return bytes.Repeat([]byte{'r'}, n) }
+	// SNs 1-3: three 10-byte singles; 4-5: one batch of two 10-byte
+	// records; 6: a 100-byte single.
+	for i := 1; i <= 3; i++ {
+		st.Put(colorA, tok(i), rec(10))
+		st.Commit(tok(i), sn(i))
+	}
+	st.PutBatch(colorA, tok(4), [][]byte{rec(10), rec(10)})
+	st.Commit(tok(4), sn(5))
+	st.Put(colorA, tok(6), rec(100))
+	st.Commit(tok(6), sn(6))
+
+	sns := func(after types.SN, limit int) []types.SN {
+		t.Helper()
+		recs, err := st.ScanFrom(colorA, after, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []types.SN
+		for _, r := range recs {
+			out = append(out, r.SN)
+		}
+		return out
+	}
+	cases := []struct {
+		after types.SN
+		limit int
+		want  []types.SN
+	}{
+		{0, 25, []types.SN{sn(1), sn(2)}},                            // third record would cross 25
+		{sn(2), 25, []types.SN{sn(3)}},                               // the 2-record batch would cross: not split
+		{sn(2), 30, []types.SN{sn(3), sn(4), sn(5)}},                 // batch fits whole
+		{sn(5), 50, []types.SN{sn(6)}},                               // oversized first record still returned
+		{sn(3), 5, []types.SN{sn(4), sn(5)}},                         // oversized first batch returned whole
+		{0, 0, []types.SN{sn(1), sn(2), sn(3), sn(4), sn(5), sn(6)}}, // no cap
+	}
+	for _, c := range cases {
+		if got := sns(c.after, c.limit); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("ScanFrom(after %v, cap %d) = %v, want %v", c.after, c.limit, got, c.want)
+		}
 	}
 }
 
@@ -417,7 +466,7 @@ func TestConcurrentPutCommitGet(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	recs, _ := st.Scan(colorA)
+	recs, _ := st.ScanFrom(colorA, types.InvalidSN, 0)
 	if len(recs) != workers*per {
 		t.Fatalf("scan found %d records, want %d", len(recs), workers*per)
 	}

@@ -92,7 +92,7 @@ func TestParallelWritePathStress(t *testing.T) {
 	for c := 0; c < colors; c++ {
 		color := types.ColorID(c + 1)
 		floor := trimFloor[c].Load()
-		recs, err := st.ScanFrom(color, types.MakeSN(1, floor))
+		recs, err := st.ScanFrom(color, types.MakeSN(1, floor), 0)
 		if err != nil {
 			t.Fatalf("color %d scan: %v", c, err)
 		}
