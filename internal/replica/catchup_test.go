@@ -233,20 +233,22 @@ func TestCatchupFromCopiesWholeBatches(t *testing.T) {
 // TestSyncAbortClockCountsCatchupProgress checks that a sync run is
 // aborted only after syncAbortRetries retry timeouts without progress,
 // and that an ingested catch-up round counts as progress: a run that
-// started long ago but keeps pulling records is not abandoned.
+// started long ago but keeps pulling records is not abandoned. The abort
+// clock is driven by hand; ModeJoining keeps the replica's own timer away
+// from sync runs.
 func TestSyncAbortClockCountsCatchupProgress(t *testing.T) {
 	h := newHarness(t, 3)
 	r := h.replicas[0]
 	retry := r.cfg.RetryTimeout
 	const id = 77 << 32
+	r.mode.store(ModeJoining)
 	r.mu.Lock()
-	r.mode.store(ModeSyncing)
 	r.syncRuns[id] = &syncRun{
 		id:           id,
 		coordinator:  2,
 		dones:        make(map[types.NodeID]bool),
 		participants: []types.NodeID{1, 2, 3},
-		progress:     time.Now().Add(-(syncAbortRetries - 1) * retry), // one retry from abort
+		progress:     time.Now().Add(-time.Hour),
 		lastDrive:    time.Now(),
 	}
 	r.pulls[id] = &pull{donor: 2, lastDrive: time.Now()}
@@ -255,10 +257,9 @@ func TestSyncAbortClockCountsCatchupProgress(t *testing.T) {
 	r.handle(2, proto.CatchupEntries{
 		ID:      id,
 		Records: map[types.ColorID][]proto.WireRecord{0: {{Token: types.MakeToken(9, 1), SN: types.MakeSN(1, 1), Data: []byte("x")}}},
-		More:    true,
 		From:    2,
 	})
-	time.Sleep(4 * retry) // well past the original deadline
+	r.retrySyncRuns(time.Now())
 	r.mu.Lock()
 	alive := r.syncRuns[id] != nil
 	r.mu.Unlock()
@@ -266,11 +267,8 @@ func TestSyncAbortClockCountsCatchupProgress(t *testing.T) {
 		t.Fatalf("run with fresh catch-up progress aborted (alive %v, aborts %d)", alive, r.Stats().SyncAborts)
 	}
 	// With no further progress the run is abandoned after the full window.
-	deadline := time.Now().Add(2 * syncAbortRetries * retry)
-	for r.Stats().SyncAborts == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("run without progress never aborted")
-		}
-		time.Sleep(retry / 5)
+	r.retrySyncRuns(time.Now().Add((syncAbortRetries + 1) * retry))
+	if got := r.Stats().SyncAborts; got != 1 {
+		t.Fatalf("run without progress: %d aborts, want 1", got)
 	}
 }
