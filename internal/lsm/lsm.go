@@ -90,6 +90,8 @@ type DB struct {
 	hot       hotStats
 	flushCond *sync.Cond
 	flushing  bool
+	compactMu sync.Mutex     // one compaction at a time (see compact)
+	readMu    sync.RWMutex   // Get holds it over table reads (see compact)
 	bgWG      sync.WaitGroup // flushes + compactions
 	loopWG    sync.WaitGroup // committer loop
 
@@ -444,8 +446,12 @@ func (db *DB) flushLoop() {
 }
 
 // compact merges all L0 tables and L1 into a new L1 (universal style).
+// Compactions run one at a time: two merges of overlapping snapshots
+// could finish out of order, and the older would overwrite the newer L1.
 func (db *DB) compact() {
 	defer db.bgWG.Done()
+	db.compactMu.Lock()
+	defer db.compactMu.Unlock()
 	db.mu.Lock()
 	l0 := append([]*sstable(nil), db.l0...)
 	l1 := db.l1
@@ -520,6 +526,8 @@ func (db *DB) compact() {
 	db.l1 = newL1
 	db.stats.Compactions++
 	db.mu.Unlock()
+	db.readMu.Lock() // wait out readers still holding the old tables
+	db.readMu.Unlock()
 	for _, t := range l0 {
 		db.dev.Delete(t.name)
 	}
@@ -536,6 +544,8 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	if closed {
 		return nil, ErrClosed
 	}
+	db.readMu.RLock()
+	defer db.readMu.RUnlock()
 	db.mu.RLock()
 	db.hot.gets.Add(1)
 	if v, ok := db.mem.get(key); ok {

@@ -28,14 +28,6 @@ type pull struct {
 	lastDrive time.Time
 }
 
-// startPull registers a catch-up transfer and sends its first round.
-func (r *Replica) startPull(id uint64, donor types.NodeID) {
-	r.mu.Lock()
-	r.pulls[id] = &pull{donor: donor}
-	r.mu.Unlock()
-	r.sendCatchupFetch(id)
-}
-
 // catchupCursor is the per-color position a pull resumes from,
 // max(MaxSN, Trimmed): records at or below the trim frontier would be
 // discarded, so every round either advances the cursor or ends the pull.

@@ -48,10 +48,11 @@ func (r *Replica) StartJoin(donor types.NodeID) {
 	r.syncSeq++
 	r.joinID = uint64(r.cfg.ID)<<32 | r.syncSeq
 	id := r.joinID
+	r.pulls[id] = &pull{donor: donor}
 	r.mu.Unlock()
 	r.joinLag.Store(joinLagUnknown)
 	r.mode.store(ModeJoining)
-	r.startPull(id, donor)
+	r.sendCatchupFetch(id)
 }
 
 // JoinLag estimates how many records this replica is behind its donor:

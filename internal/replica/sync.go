@@ -266,8 +266,9 @@ func (r *Replica) onSyncCatchup(m proto.SyncCatchup) {
 		r.broadcastSyncDone(m.ID)
 		return
 	}
+	r.pulls[m.ID] = &pull{donor: m.UpToDate}
 	r.mu.Unlock()
-	r.startPull(m.ID, m.UpToDate)
+	r.sendCatchupFetch(m.ID)
 }
 
 // broadcastSyncDone performs this replica's half of the all-to-all barrier.
