@@ -6,9 +6,9 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke size
+.PHONY: verify build test vet race bench bench-smoke bench-write-smoke chaos-smoke chaos-soak docs-check obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke perfbench-check size
 
-verify: build test vet race chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check
+verify: build test vet race chaos-smoke bench-write-smoke obs-smoke tiering-smoke codec-smoke qos-smoke seq-smoke reconfig-smoke docs-check perfbench-check
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,12 @@ reconfig-smoke:
 docs-check:
 	$(GO) run ./cmd/docs-check internal/obs internal/ctrlplane
 	$(GO) run ./cmd/docs-check -flags cmd/flexlog-server cmd/flexlog-cli
+
+# The benchmark harness (perfbench/) is its own module, so the root
+# `go build ./...` cannot see a deleted or renamed exported symbol it
+# still uses. Vet and test it against this tree, offline.
+perfbench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet . && GOFLAGS=-mod=mod GOPROXY=off $(GO) test .
 
 # Code-size ledger for simplicity work (ROADMAP: track net non-test lines,
 # wire tags and config fields): non-test Go lines of the root module

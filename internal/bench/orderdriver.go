@@ -30,16 +30,18 @@ type orderDriver struct {
 func newOrderDriver(net *transport.Network, id types.NodeID) (*orderDriver, error) {
 	d := &orderDriver{id: id, fid: uint32(id), waits: make(map[types.Token]chan types.SN)}
 	ep, err := net.Register(id, func(from types.NodeID, msg transport.Message) {
-		resp, ok := msg.(proto.OrderResp)
+		m, ok := msg.(proto.OrderRespBatch)
 		if !ok {
 			return
 		}
-		d.mu.Lock()
-		ch := d.waits[resp.Token]
-		delete(d.waits, resp.Token)
-		d.mu.Unlock()
-		if ch != nil {
-			ch <- resp.LastSN
+		for _, resp := range m.Items {
+			d.mu.Lock()
+			ch := d.waits[resp.Token]
+			delete(d.waits, resp.Token)
+			d.mu.Unlock()
+			if ch != nil {
+				ch <- resp.LastSN
+			}
 		}
 	})
 	if err != nil {
@@ -57,7 +59,7 @@ func (d *orderDriver) request(target types.NodeID, color types.ColorID, n uint32
 	d.mu.Lock()
 	d.waits[token] = ch
 	d.mu.Unlock()
-	req := proto.OrderReq{Color: color, Token: token, NRecords: n, Replicas: []types.NodeID{d.id}}
+	req := proto.OrderReqBatch{Color: color, Replicas: []types.NodeID{d.id}, Items: []proto.OrderReq{{Token: token, NRecords: n}}}
 	start := time.Now()
 	if err := d.ep.Send(target, req); err != nil {
 		return 0, err

@@ -15,12 +15,13 @@ import (
 
 // This file implements the client-side append batching & pipelining layer:
 // a per-(color, shard) batcher goroutine coalesces concurrent Append calls
-// into a single ordering request + data RPC (proto.AppendBatchReq), bounded
-// by MaxBatchRecords / MaxBatchBytes and a MaxBatchDelay linger timer, with
-// MaxInFlight batches pipelined per shard. Because a batch is persisted and
-// ordered as one unit, its records occupy one consecutive SN range in
-// enqueue order, so per-caller completion is demultiplexed from the last
-// SN alone — no per-record acks on the wire.
+// into a single ordering request + data RPC (one proto.AppendReq carrying
+// the callers' record sets back to back), bounded by MaxBatchRecords /
+// MaxBatchBytes and a MaxBatchDelay linger timer, with MaxInFlight batches
+// pipelined per shard. Because a batch is persisted and ordered as one
+// unit, its records occupy one consecutive SN range in enqueue order, so
+// per-caller completion is demultiplexed from the last SN and the set
+// sizes the batcher keeps — no per-record acks on the wire.
 
 // AppendFuture is the handle returned by AsyncAppend: the eventual SN of
 // the caller's last record, or the per-record error if the batch failed.
@@ -306,16 +307,16 @@ func (b *shardBatcher) cut() (items []*pendingAppend, recs, bytes int) {
 }
 
 // flush sends one coalesced batch: register the ack waiter, broadcast the
-// AppendBatchReq inline, then hand retries and completion to a goroutine
-// so the next batch can pipeline behind this one.
+// AppendReq inline, then hand retries and completion to a goroutine so the
+// next batch can pipeline behind this one.
 func (b *shardBatcher) flush(items []*pendingAppend, recs, bytes int) {
 	c := b.c
 	token := c.nextToken()
-	sets := make([][][]byte, len(items))
-	for i, it := range items {
-		sets[i] = it.records
+	records := make([][]byte, 0, recs)
+	for _, it := range items {
+		records = append(records, it.records...)
 	}
-	req := proto.AppendBatchReq{Color: b.color, Token: token, Sets: sets, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
+	req := proto.AppendReq{Color: b.color, Token: token, Records: records, Client: c.cfg.ID, Tenant: c.cfg.Tenant}
 	w := c.newAppendWait(b.shard, req)
 	c.mu.Lock()
 	if c.closed {
@@ -338,7 +339,7 @@ func (b *shardBatcher) flush(items []*pendingAppend, recs, bytes int) {
 
 // await drives one in-flight batch to completion: retry the broadcast
 // until every replica acked, the timeout expired, or the client closed.
-func (b *shardBatcher) await(token types.Token, w *appendWait, req proto.AppendBatchReq, items []*pendingAppend, recs int) {
+func (b *shardBatcher) await(token types.Token, w *appendWait, req proto.AppendReq, items []*pendingAppend, recs int) {
 	c := b.c
 	defer func() {
 		c.mu.Lock()

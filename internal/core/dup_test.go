@@ -64,7 +64,7 @@ func TestDuplicatedAppendReqNotDoubleAppended(t *testing.T) {
 }
 
 // TestDuplicatedAppendBatchReqNotDoubleAppended covers the batched append
-// path: a duplicated AppendBatchReq must not commit its record sets twice.
+// path: a duplicated batch AppendReq must not commit its record sets twice.
 func TestDuplicatedAppendBatchReqNotDoubleAppended(t *testing.T) {
 	cl, _ := newSimpleNoFailover(t, 1)
 	net := cl.Network()

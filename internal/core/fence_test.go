@@ -46,10 +46,7 @@ func testAppendFence(t *testing.T, batch BatchConfig) {
 	eps := make(map[types.NodeID]transport.Endpoint)
 	for _, id := range []types.NodeID{1, 2, 3} {
 		ep, err := net.Register(id, func(from types.NodeID, msg transport.Message) {
-			switch m := msg.(type) {
-			case proto.AppendReq:
-				reqs <- got{id, m.Token}
-			case proto.AppendBatchReq:
+			if m, ok := msg.(proto.AppendReq); ok {
 				reqs <- got{id, m.Token}
 			}
 		})

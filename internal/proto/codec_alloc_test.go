@@ -15,14 +15,11 @@ func hotMessages() []any {
 	rec := bytes.Repeat([]byte("x"), 128)
 	return []any{
 		AppendReq{Color: 3, Token: types.MakeToken(7, 9), Records: [][]byte{rec, rec, rec, rec}, Client: 500},
-		AppendBatchReq{Color: 3, Token: types.MakeToken(7, 9), Sets: [][][]byte{{rec, rec}, {rec}}, Client: 500},
 		AppendAck{Token: types.MakeToken(7, 9), SN: types.MakeSN(1, 99)},
 		ReadReq{ID: 42, Color: 3, SN: types.MakeSN(1, 99), Client: 500},
 		ReadResp{ID: 42, SN: types.MakeSN(1, 99), Data: rec, Found: true},
-		OrderReq{Color: 3, Token: 11, NRecords: 4, Shard: 1, Replicas: []types.NodeID{1, 2, 3}},
-		OrderResp{Token: 11, LastSN: types.MakeSN(1, 103), NRecords: 4, Color: 3},
 		OrderReqBatch{Color: 3, Shard: 1, Replicas: []types.NodeID{1, 2, 3},
-			Items: []OrderItem{{Token: 5, NRecords: 1}, {Token: 6, NRecords: 2}}},
+			Items: []OrderReq{{Token: 5, NRecords: 1}, {Token: 6, NRecords: 2}}},
 		OrderRespBatch{Color: 3, Items: []OrderRespItem{{Token: 5, LastSN: types.MakeSN(1, 1), NRecords: 1}}},
 	}
 }
@@ -47,9 +44,6 @@ func hotDecoder(t testing.TB, msg any) func([]byte) error {
 	case AppendReq:
 		m := &AppendReq{}
 		return m.Decode
-	case AppendBatchReq:
-		m := &AppendBatchReq{}
-		return m.Decode
 	case AppendAck:
 		m := &AppendAck{}
 		return m.Decode
@@ -58,12 +52,6 @@ func hotDecoder(t testing.TB, msg any) func([]byte) error {
 		return m.Decode
 	case ReadResp:
 		m := &ReadResp{}
-		return m.Decode
-	case OrderReq:
-		m := &OrderReq{}
-		return m.Decode
-	case OrderResp:
-		m := &OrderResp{}
 		return m.Decode
 	case OrderReqBatch:
 		m := &OrderReqBatch{}

@@ -16,8 +16,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		frame := encodeFrame(f, g.msg)
 		f.Add(frame[4:])
 	}
-	for _, frame := range retiredFrames {
-		f.Add(frame)
+	for _, r := range retiredFrames {
+		f.Add(r.frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		from, msg, err := DecodeFrame(data)

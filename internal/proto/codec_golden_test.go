@@ -23,8 +23,6 @@ var goldenFrames = []struct {
 }{
 	{"AppendReq", AppendReq{Color: 0x3, Token: 0x700000009, Records: [][]uint8{[]uint8{0x61, 0x62}, []uint8(nil), []uint8{0x63}}, Client: 0x1f4, Tenant: 0x7},
 		"1300000001f40303898080807003026162000163f40307"},
-	{"AppendBatchReq", AppendBatchReq{Color: 0x1, Token: 0x2, Sets: [][][]uint8{[][]uint8{[]uint8{0x78}}, [][]uint8{[]uint8{0x79, 0x7a}, []uint8{0x77}}}, Client: 0x6, Tenant: 0x9},
-		"1100000002f4030102020101780202797a01770609"},
 	{"AppendAck", AppendAck{Token: 0x100000002, SN: 0x100000003},
 		"0d00000003f40382808080108380808010"},
 	{"ReadReq", ReadReq{ID: 0x4d, Color: 0x3, SN: 0x100000009, Client: 0x1f4, Tenant: 0x7},
@@ -47,18 +45,10 @@ var goldenFrames = []struct {
 		"0a0000000bf4030407020102f403"},
 	{"MultiAppendAck", MultiAppendAck{ID: 0x4},
 		"040000000cf40304"},
-	{"OrderReq", OrderReq{Color: 0x3, Token: 0xb, NRecords: 0x2, Shard: 0x1, Replicas: []types.NodeID{0x1, 0x2, 0x3}},
-		"0b0000000df403030b020103010203"},
-	{"OrderResp", OrderResp{Token: 0xb, LastSN: 0x10000000c, NRecords: 0x2, Color: 0x3},
-		"0b0000000ef4030b8c808080100203"},
-	{"OrderReqBatch", OrderReqBatch{Color: 0x3, Shard: 0x1, Replicas: []types.NodeID{0x1, 0x2}, Items: []OrderItem{OrderItem{Token: 0x5, NRecords: 0x1}, OrderItem{Token: 0x6, NRecords: 0x2}}},
+	{"OrderReqBatch", OrderReqBatch{Color: 0x3, Shard: 0x1, Replicas: []types.NodeID{0x1, 0x2}, Items: []OrderReq{OrderReq{Token: 0x5, NRecords: 0x1}, OrderReq{Token: 0x6, NRecords: 0x2}}},
 		"0d0000000ff40303010201020205010602"},
 	{"OrderRespBatch", OrderRespBatch{Color: 0x3, Items: []OrderRespItem{OrderRespItem{Token: 0x5, LastSN: 0x100000002, NRecords: 0x1}}},
 		"0c00000010f403030105828080801001"},
-	{"AggOrderReq", AggOrderReq{Color: 0x0, BatchID: 0x13, Total: 0x6, From: 0x384},
-		"0800000011f4030013068407"},
-	{"AggOrderResp", AggOrderResp{BatchID: 0x13, LastSN: 0x200000002, Color: 0x0},
-		"0a00000012f40313828080802000"},
 	{"AggOrderReqBatch", AggOrderReqBatch{From: 0x384, Items: []AggOrderItem{{Color: 0x1, BatchID: 0x13, Total: 0x6}, {Color: 0x2, BatchID: 0x14, Total: 0x3}}},
 		"0c00000022f403840702011306021403"},
 	{"AggOrderRespBatch", AggOrderRespBatch{From: 0x384, Items: []AggOrderRespItem{{Color: 0x1, BatchID: 0x13, LastSN: 0x200000002}, {Color: 0x2, BatchID: 0x14, LastSN: 0x200000005}}},
@@ -139,20 +129,31 @@ func TestCodecGoldenBytes(t *testing.T) {
 }
 
 // retiredFrames are frames (tag, sender, body; no length prefix) of
-// deleted message types, as an old peer would still send them. Their tags
-// are never reused, so they must decode as ErrBadFrame, never be misread.
-var retiredFrames = [][]byte{
-	{29, 0xf4, 0x03, 0x06, 0x01, 0x00, 0x82, 0x80, 0x80, 0x80, 0x10, 0x02},                   // SyncFetch
-	{30, 0xf4, 0x03, 0x06, 0x01, 0x00, 0x01, 0x01, 0x83, 0x80, 0x80, 0x80, 0x10, 0x01, 0x65}, // SyncEntries
+// deleted message types, as an old peer would still send them: the golden
+// bytes each type had while it lived. Their tags are never reused, so
+// they must decode as ErrBadFrame, never be misread.
+var retiredFrames = []struct {
+	name  string
+	frame []byte
+}{
+	{"SyncFetch", []byte{29, 0xf4, 0x03, 0x06, 0x01, 0x00, 0x82, 0x80, 0x80, 0x80, 0x10, 0x02}},
+	{"SyncEntries", []byte{30, 0xf4, 0x03, 0x06, 0x01, 0x00, 0x01, 0x01, 0x83, 0x80, 0x80, 0x80, 0x10, 0x01, 0x65}},
+	{"AppendBatchReq", []byte{2, 0xf4, 0x03, 0x01, 0x02, 0x02, 0x01, 0x01, 0x78, 0x02, 0x02, 0x79, 0x7a, 0x01, 0x77, 0x06, 0x09}},
+	{"OrderReq", []byte{13, 0xf4, 0x03, 0x03, 0x0b, 0x02, 0x01, 0x03, 0x01, 0x02, 0x03}}, // the singular frame
+	{"OrderResp", []byte{14, 0xf4, 0x03, 0x0b, 0x8c, 0x80, 0x80, 0x80, 0x10, 0x02, 0x03}},
+	{"AggOrderReq", []byte{17, 0xf4, 0x03, 0x00, 0x13, 0x06, 0x84, 0x07}},
+	{"AggOrderResp", []byte{18, 0xf4, 0x03, 0x13, 0x82, 0x80, 0x80, 0x80, 0x20, 0x00}},
 }
 
 // TestRetiredTagsDecodeAsBadFrame checks that a frame carrying a retired
 // tag is rejected as malformed.
 func TestRetiredTagsDecodeAsBadFrame(t *testing.T) {
-	for _, frame := range retiredFrames {
-		if _, _, err := DecodeFrame(frame); !errors.Is(err, ErrBadFrame) {
-			t.Errorf("tag %d: err = %v, want ErrBadFrame", frame[0], err)
-		}
+	for _, r := range retiredFrames {
+		t.Run(r.name, func(t *testing.T) {
+			if _, _, err := DecodeFrame(r.frame); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("tag %d: err = %v, want ErrBadFrame", r.frame[0], err)
+			}
+		})
 	}
 }
 
@@ -168,8 +169,8 @@ func TestCodecGoldenCoversAllTags(t *testing.T) {
 		}
 		seen[wm.wireTag()] = true
 	}
-	for _, frame := range retiredFrames {
-		seen[frame[0]] = true
+	for _, r := range retiredFrames {
+		seen[r.frame[0]] = true
 	}
 	for tag := TagAppendReq; tag <= TagCtrlAck; tag++ {
 		if !seen[tag] {

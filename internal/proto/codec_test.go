@@ -48,17 +48,6 @@ func TestCodecRoundTripSemantics(t *testing.T) {
 		t.Fatal("decoded message aliases the frame buffer")
 	}
 
-	batch := AppendBatchReq{Color: 1, Token: 9,
-		Sets: [][][]byte{{[]byte("a")}, {[]byte("bb"), []byte("c")}}, Client: 2}
-	frame = encodeFrame(t, batch)
-	_, msg, err = DecodeFrame(frame[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	gb := msg.(AppendBatchReq)
-	if gb.NRecords() != 3 || string(gb.Sets[1][0]) != "bb" {
-		t.Fatalf("batch = %+v", gb)
-	}
 }
 
 // TestCodecDecodeReuse checks the zero-alloc reuse contract: decoding

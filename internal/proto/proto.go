@@ -22,7 +22,11 @@ import (
 
 // AppendReq is the client's round-1 broadcast to all replicas of a shard.
 // Tenant identifies the issuing tenant for QoS accounting and admission
-// control (0 = default tenant, never throttled).
+// control (0 = default tenant, never throttled). The client-side batching
+// layer sends its callers' record sets flattened into Records: the batch
+// is persisted and ordered as one unit, so the sets occupy one consecutive
+// SN range in enqueue order and the client demultiplexes per-set SNs from
+// the last SN and the set sizes it kept.
 type AppendReq struct {
 	Color   types.ColorID
 	Token   types.Token
@@ -36,30 +40,6 @@ type AppendReq struct {
 type AppendAck struct {
 	Token types.Token
 	SN    types.SN
-}
-
-// AppendBatchReq is the framing used by the client-side batching layer:
-// several callers' appends to the same color, coalesced into one ordering
-// request and one data RPC. Each inner set is one caller's records; the
-// whole batch is persisted and ordered as a unit, so the sets occupy one
-// consecutive SN range in enqueue order and the client can demultiplex
-// per-set SNs from the last SN alone. Replicas acknowledge with a plain
-// AppendAck (the ack needs only the token and the batch's last SN).
-type AppendBatchReq struct {
-	Color  types.ColorID
-	Token  types.Token
-	Sets   [][][]byte
-	Client types.NodeID
-	Tenant types.TenantID
-}
-
-// NRecords returns the total record count across all sets.
-func (m AppendBatchReq) NRecords() int {
-	n := 0
-	for _, set := range m.Sets {
-		n += len(set)
-	}
-	return n
 }
 
 // ReadReq asks one replica of a shard for the record at (Color, SN).
@@ -169,9 +149,9 @@ const (
 // Reject is a replica's typed backpressure response: instead of silently
 // growing a queue (or silently dropping), an overloaded or throttling
 // replica answers the request with a Reject the client maps onto
-// ErrOverloaded / ErrThrottled. Token correlates appends (and carries the
-// batch token for AppendBatchReq); ID correlates reads. Exactly one of the
-// two is meaningful, disambiguated by IsRead.
+// ErrOverloaded / ErrThrottled. Token correlates appends (a client batch
+// has one token); ID correlates reads. Exactly one of the two is
+// meaningful, disambiguated by IsRead.
 type Reject struct {
 	Token            types.Token
 	ID               uint64
@@ -206,41 +186,24 @@ type MultiAppendAck struct {
 
 // ---- Replica ↔ ordering layer (Alg. 1 sequencer rounds) ----
 
-// OrderReq asks the ordering layer for NRecords sequence numbers in Color.
-// Replicas carries the shard membership so the leaf sequencer can broadcast
-// the response to every replica (Alg. 1 line 35).
+// OrderReq is one order request inside an OrderReqBatch: NRecords
+// sequence numbers for one append batch's token.
 type OrderReq struct {
-	Color    types.ColorID
-	Token    types.Token
-	NRecords uint32
-	Shard    types.ShardID
-	Replicas []types.NodeID
-}
-
-// OrderResp delivers the SN of the last record of the batch to all replicas
-// of the shard.
-type OrderResp struct {
-	Token    types.Token
-	LastSN   types.SN
-	NRecords uint32
-	Color    types.ColorID
-}
-
-// OrderItem is one coalesced order request (one append batch's token).
-type OrderItem struct {
 	Token    types.Token
 	NRecords uint32
 }
 
-// OrderReqBatch carries the order requests a replica accumulated for one
-// color within its coalescing window — the replica→leaf edge batches the
-// same way the sequencer tree already aggregates upward (§5.2). All items
-// share the color and the shard membership.
+// OrderReqBatch is the replica→leaf order request (Alg. 1 round 2): the
+// requests a replica accumulated for one color within its coalescing
+// window, or a lone request as a batch of one — the edge batches the same
+// way the sequencer tree aggregates upward (§5.2). All items share the
+// color and the shard membership; Replicas lets the leaf sequencer
+// broadcast the response to every replica of the shard (Alg. 1 line 35).
 type OrderReqBatch struct {
 	Color    types.ColorID
 	Shard    types.ShardID
 	Replicas []types.NodeID
-	Items    []OrderItem
+	Items    []OrderReq
 }
 
 // OrderRespItem is one assignment within an OrderRespBatch.
@@ -250,9 +213,10 @@ type OrderRespItem struct {
 	NRecords uint32
 }
 
-// OrderRespBatch delivers the assignments for a whole OrderReqBatch (or
-// for the direct members of one shard in an aggregated response) in a
-// single message.
+// OrderRespBatch delivers assignments to a shard's replicas: the SN of
+// the last record of each item's batch. One frame answers a whole
+// OrderReqBatch, or the direct members of one shard in an aggregated
+// response.
 type OrderRespBatch struct {
 	Color types.ColorID
 	Items []OrderRespItem
@@ -260,49 +224,33 @@ type OrderRespBatch struct {
 
 // ---- Sequencer tree internals (§5.2 ordering layer) ----
 
-// AggOrderReq is a merged order request forwarded up the sequencer tree:
-// Total sequence numbers are requested for Color on behalf of the child
-// sequencer From (§5.2: sub-region sequencers "serve as aggregators").
-type AggOrderReq struct {
-	Color   types.ColorID
-	BatchID uint64
-	Total   uint32
-	From    types.NodeID
-}
-
-// AggOrderResp returns the last SN of the range assigned to the batch.
-type AggOrderResp struct {
-	BatchID uint64
-	LastSN  types.SN
-	Color   types.ColorID
-}
-
-// AggOrderItem is one color's aggregated round inside an AggOrderReqBatch.
+// AggOrderItem is one color's merged order request inside an
+// AggOrderReqBatch: Total sequence numbers for Color (§5.2: sub-region
+// sequencers "serve as aggregators").
 type AggOrderItem struct {
 	Color   types.ColorID
 	BatchID uint64
 	Total   uint32
 }
 
-// AggOrderReqBatch combines the upward rounds of several colors flushed in
-// the same window by child sequencer From into one frame — the pipelined
-// flusher's fan-in (DESIGN.md §14). Semantically identical to sending each
-// item as its own AggOrderReq.
+// AggOrderReqBatch is a child sequencer's upward request: the rounds of
+// every color From flushed in one window (DESIGN.md §14), or a single
+// round as a batch of one.
 type AggOrderReqBatch struct {
 	From  types.NodeID
 	Items []AggOrderItem
 }
 
-// AggOrderRespItem is one batch's answer inside an AggOrderRespBatch.
+// AggOrderRespItem is one round's answer inside an AggOrderRespBatch: the
+// last SN of the range assigned to the batch.
 type AggOrderRespItem struct {
 	Color   types.ColorID
 	BatchID uint64
 	LastSN  types.SN
 }
 
-// AggOrderRespBatch returns the answers to several aggregated rounds in
-// one frame, sent by sequencer From. Semantically identical to one
-// AggOrderResp per item.
+// AggOrderRespBatch returns the answers to one or more aggregated rounds,
+// sent by sequencer From.
 type AggOrderRespBatch struct {
 	From  types.NodeID
 	Items []AggOrderRespItem
@@ -508,7 +456,6 @@ type CtrlAck struct {
 // registrations, which cannot happen here).
 func RegisterGob() {
 	gob.Register(AppendReq{})
-	gob.Register(AppendBatchReq{})
 	gob.Register(AppendAck{})
 	gob.Register(ReadReq{})
 	gob.Register(ReadResp{})
@@ -519,12 +466,8 @@ func RegisterGob() {
 	gob.Register(TrimAck{})
 	gob.Register(MultiAppendEnd{})
 	gob.Register(MultiAppendAck{})
-	gob.Register(OrderReq{})
-	gob.Register(OrderResp{})
 	gob.Register(OrderReqBatch{})
 	gob.Register(OrderRespBatch{})
-	gob.Register(AggOrderReq{})
-	gob.Register(AggOrderResp{})
 	gob.Register(AggOrderReqBatch{})
 	gob.Register(AggOrderRespBatch{})
 	gob.Register(SeqHeartbeat{})

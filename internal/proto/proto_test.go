@@ -13,7 +13,6 @@ import (
 func everyMessage() []interface{} {
 	return []interface{}{
 		AppendReq{Color: 1, Token: types.MakeToken(2, 3), Records: [][]byte{[]byte("a"), {}}, Client: 4},
-		AppendBatchReq{Color: 1, Token: types.MakeToken(2, 4), Sets: [][][]byte{{[]byte("a")}, {[]byte("b"), []byte("c")}}, Client: 4},
 		AppendAck{Token: types.MakeToken(2, 3), SN: types.MakeSN(1, 9)},
 		ReadReq{ID: 1, Color: 2, SN: types.MakeSN(1, 3), Client: 4},
 		ReadResp{ID: 1, SN: types.MakeSN(1, 3), Data: []byte("x"), Found: true},
@@ -24,12 +23,8 @@ func everyMessage() []interface{} {
 		TrimAck{ID: 1, Color: 2, Head: 3, Tail: 9},
 		MultiAppendEnd{ID: 1, FID: 2, Tokens: []types.Token{3, 4}, Client: 5},
 		MultiAppendAck{ID: 1},
-		OrderReq{Color: 1, Token: 2, NRecords: 3, Shard: 4, Replicas: []types.NodeID{5, 6}},
-		OrderResp{Token: 2, LastSN: 3, NRecords: 4, Color: 5},
-		OrderReqBatch{Color: 1, Shard: 2, Replicas: []types.NodeID{3, 4}, Items: []OrderItem{{Token: 5, NRecords: 6}}},
+		OrderReqBatch{Color: 1, Shard: 2, Replicas: []types.NodeID{3, 4}, Items: []OrderReq{{Token: 5, NRecords: 6}}},
 		OrderRespBatch{Color: 1, Items: []OrderRespItem{{Token: 2, LastSN: 3, NRecords: 4}}},
-		AggOrderReq{Color: 1, BatchID: 2, Total: 3, From: 4},
-		AggOrderResp{BatchID: 2, LastSN: 3, Color: 4},
 		AggOrderReqBatch{From: 4, Items: []AggOrderItem{{Color: 1, BatchID: 2, Total: 3}, {Color: 5, BatchID: 6, Total: 7}}},
 		AggOrderRespBatch{From: 4, Items: []AggOrderRespItem{{Color: 1, BatchID: 2, LastSN: 3}}},
 		SeqHeartbeat{Epoch: 1, From: 2},
@@ -46,6 +41,11 @@ func everyMessage() []interface{} {
 		CatchupFetch{ID: 1, Have: map[types.ColorID]types.SN{2: 3}, From: 4},
 		CatchupEntries{ID: 1, Records: map[types.ColorID][]WireRecord{2: {{Token: 3, SN: 4, Data: []byte("d")}}}, Frontier: map[types.ColorID]types.SN{2: 4}, More: true, From: 5},
 		SyncDone{ID: 1, From: 2},
+		Reject{Token: 1, ID: 2, Color: 3, Tenant: 4, Code: RejectThrottled, RetryAfterMicros: 5},
+		TopoUpdate{Version: 1, Regions: []TopoRegion{{Color: 1, Leader: 2, Backups: []types.NodeID{3}, Members: []types.NodeID{2, 3}, IsRoot: true}},
+			Shards: []TopoShard{{ID: 1, Leaf: 1, Replicas: []types.NodeID{4, 5}}}, From: 6},
+		CtrlReconfig{Seq: 1, Op: CtrlOpJoin, Donor: 2, From: 3},
+		CtrlAck{Seq: 1, Op: CtrlOpStatus, OK: true, Mode: 2, Lag: 3, Version: 4, From: 5},
 	}
 }
 
@@ -90,7 +90,7 @@ func normalize(v interface{}) interface{} {
 // TestMessageCountMatchesRegistry keeps everyMessage in sync with the
 // RegisterGob list: a new message type must be added to both.
 func TestMessageCountMatchesRegistry(t *testing.T) {
-	const registered = 34 // keep in lockstep with RegisterGob
+	const registered = 33 // keep in lockstep with RegisterGob
 	if got := len(everyMessage()); got != registered {
 		t.Fatalf("everyMessage has %d entries, RegisterGob registers %d — update both together", got, registered)
 	}

@@ -48,13 +48,14 @@ var Magic = [4]byte{'F', 'L', 'X', '1'}
 const MaxFrame = 1 << 28
 
 // Wire type tags, one per message (DESIGN.md §12 pins these: changing a
-// value breaks cross-version framing and the golden-bytes test). Tags 29
-// and 30 belonged to the retired SyncFetch/SyncEntries pair — the
-// sync-phase now pulls through CatchupFetch/CatchupEntries — and are
-// never reused: they decode as ErrBadFrame.
+// value breaks cross-version framing and the golden-bytes test). Retired
+// tags are never reused and decode as ErrBadFrame: 29 and 30 belonged to
+// the SyncFetch/SyncEntries pair (the sync-phase now pulls through
+// CatchupFetch/CatchupEntries); 2, 13, 14, 17 and 18 to AppendBatchReq
+// and the singular order request/response and aggregation frames (each
+// protocol edge now carries one frame type: AppendReq or a *Batch form).
 const (
 	TagAppendReq         byte = 1
-	TagAppendBatchReq    byte = 2
 	TagAppendAck         byte = 3
 	TagReadReq           byte = 4
 	TagReadResp          byte = 5
@@ -65,12 +66,8 @@ const (
 	TagTrimAck           byte = 10
 	TagMultiAppendEnd    byte = 11
 	TagMultiAppendAck    byte = 12
-	TagOrderReq          byte = 13
-	TagOrderResp         byte = 14
 	TagOrderReqBatch     byte = 15
 	TagOrderRespBatch    byte = 16
-	TagAggOrderReq       byte = 17
-	TagAggOrderResp      byte = 18
 	TagSeqHeartbeat      byte = 19
 	TagSeqHeartbeatAck   byte = 20
 	TagEpochClaim        byte = 21
@@ -172,15 +169,6 @@ func decodeBody(tag byte, body []byte) (any, error) {
 		}
 		m.Records = ownByteSlices(m.Records)
 		return m, nil
-	case TagAppendBatchReq:
-		var m AppendBatchReq
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		for i := range m.Sets {
-			m.Sets[i] = ownByteSlices(m.Sets[i])
-		}
-		return m, nil
 	case TagAppendAck:
 		var m AppendAck
 		if err := m.Decode(body); err != nil {
@@ -243,18 +231,6 @@ func decodeBody(tag byte, body []byte) (any, error) {
 			return nil, err
 		}
 		return m, nil
-	case TagOrderReq:
-		var m OrderReq
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TagOrderResp:
-		var m OrderResp
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		return m, nil
 	case TagOrderReqBatch:
 		var m OrderReqBatch
 		if err := m.Decode(body); err != nil {
@@ -263,18 +239,6 @@ func decodeBody(tag byte, body []byte) (any, error) {
 		return m, nil
 	case TagOrderRespBatch:
 		var m OrderRespBatch
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TagAggOrderReq:
-		var m AggOrderReq
-		if err := m.Decode(body); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case TagAggOrderResp:
-		var m AggOrderResp
 		if err := m.Decode(body); err != nil {
 			return nil, err
 		}
@@ -615,22 +579,6 @@ func readByteSlices(r *wireReader, dst [][]byte) [][]byte {
 	return dst
 }
 
-// readByteSliceSets decodes a [][][]byte, reusing both the outer slice
-// and each inner set's capacity.
-func readByteSliceSets(r *wireReader, dst [][][]byte) [][][]byte {
-	n := r.count(1)
-	old := dst
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		var inner [][]byte
-		if i < len(old) {
-			inner = old[i]
-		}
-		dst = append(dst, readByteSlices(r, inner))
-	}
-	return dst
-}
-
 func readNodeIDs(r *wireReader, dst []types.NodeID) []types.NodeID {
 	n := r.count(1)
 	dst = dst[:0]
@@ -735,7 +683,7 @@ func ownRecordData(recs []WireRecord) {
 
 // FrameDecoder is DecodeFrame with reusable scratch state. A transport
 // read loop owns one per connection: the alias-carrying hot types
-// (AppendReq, AppendBatchReq, SubscribeResp) first decode into scratch
+// (AppendReq, SubscribeResp) first decode into scratch
 // messages — reusing their slice-header capacity across frames — and then
 // copy out exactly once into right-sized owned values. This halves the
 // decode-side allocation churn of the stateless DecodeFrame, which
@@ -744,7 +692,6 @@ func ownRecordData(recs []WireRecord) {
 // that the next Decode overwrites. Not safe for concurrent use.
 type FrameDecoder struct {
 	appendReq AppendReq
-	batchReq  AppendBatchReq
 	subResp   SubscribeResp
 	arena     []byte
 }
@@ -788,17 +735,6 @@ func (d *FrameDecoder) Decode(b []byte) (types.NodeID, any, error) {
 		}
 		m := d.appendReq
 		m.Records = d.copyByteSlices(m.Records)
-		return from, m, nil
-	case TagAppendBatchReq:
-		if err := d.batchReq.Decode(body); err != nil {
-			return 0, nil, err
-		}
-		m := d.batchReq
-		sets := make([][][]byte, len(m.Sets))
-		for i, s := range m.Sets {
-			sets[i] = d.copyByteSlices(s)
-		}
-		m.Sets = sets
 		return from, m, nil
 	case TagSubscribeResp:
 		if err := d.subResp.Decode(body); err != nil {

@@ -33,32 +33,6 @@ func (m *AppendReq) Decode(b []byte) error {
 func (m AppendReq) wireTag() byte { return TagAppendReq }
 
 // AppendTo appends the message body to b. See wire.go.
-func (m AppendBatchReq) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.Color))
-	b = appendUvarint(b, uint64(m.Token))
-	b = appendUvarint(b, uint64(len(m.Sets)))
-	for _, set := range m.Sets {
-		b = appendByteSlices(b, set)
-	}
-	b = appendUvarint(b, uint64(m.Client))
-	b = appendUvarint(b, uint64(m.Tenant))
-	return b
-}
-
-// Decode parses a message body, aliasing []byte fields into b.
-func (m *AppendBatchReq) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.Color = types.ColorID(r.u32())
-	m.Token = types.Token(r.uvarint())
-	m.Sets = readByteSliceSets(&r, m.Sets)
-	m.Client = types.NodeID(r.u32())
-	m.Tenant = types.TenantID(r.u32())
-	return r.done()
-}
-
-func (m AppendBatchReq) wireTag() byte { return TagAppendBatchReq }
-
-// AppendTo appends the message body to b. See wire.go.
 func (m AppendAck) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, uint64(m.Token))
 	b = appendUvarint(b, uint64(m.SN))
@@ -267,50 +241,6 @@ func (m *MultiAppendAck) Decode(b []byte) error {
 func (m MultiAppendAck) wireTag() byte { return TagMultiAppendAck }
 
 // AppendTo appends the message body to b. See wire.go.
-func (m OrderReq) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.Color))
-	b = appendUvarint(b, uint64(m.Token))
-	b = appendUvarint(b, uint64(m.NRecords))
-	b = appendUvarint(b, uint64(m.Shard))
-	b = appendNodeIDs(b, m.Replicas)
-	return b
-}
-
-// Decode parses a message body, reusing the Replicas capacity.
-func (m *OrderReq) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.Color = types.ColorID(r.u32())
-	m.Token = types.Token(r.uvarint())
-	m.NRecords = r.u32()
-	m.Shard = types.ShardID(r.u32())
-	m.Replicas = readNodeIDs(&r, m.Replicas)
-	return r.done()
-}
-
-func (m OrderReq) wireTag() byte { return TagOrderReq }
-
-// AppendTo appends the message body to b. See wire.go.
-func (m OrderResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.Token))
-	b = appendUvarint(b, uint64(m.LastSN))
-	b = appendUvarint(b, uint64(m.NRecords))
-	b = appendUvarint(b, uint64(m.Color))
-	return b
-}
-
-// Decode parses a message body.
-func (m *OrderResp) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.Token = types.Token(r.uvarint())
-	m.LastSN = types.SN(r.uvarint())
-	m.NRecords = r.u32()
-	m.Color = types.ColorID(r.u32())
-	return r.done()
-}
-
-func (m OrderResp) wireTag() byte { return TagOrderResp }
-
-// AppendTo appends the message body to b. See wire.go.
 func (m OrderReqBatch) AppendTo(b []byte) []byte {
 	b = appendUvarint(b, uint64(m.Color))
 	b = appendUvarint(b, uint64(m.Shard))
@@ -332,7 +262,7 @@ func (m *OrderReqBatch) Decode(b []byte) error {
 	n := r.count(2)
 	m.Items = m.Items[:0]
 	for i := 0; i < n; i++ {
-		m.Items = append(m.Items, OrderItem{
+		m.Items = append(m.Items, OrderReq{
 			Token:    types.Token(r.uvarint()),
 			NRecords: r.u32(),
 		})
@@ -371,46 +301,6 @@ func (m *OrderRespBatch) Decode(b []byte) error {
 }
 
 func (m OrderRespBatch) wireTag() byte { return TagOrderRespBatch }
-
-// AppendTo appends the message body to b. See wire.go.
-func (m AggOrderReq) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, uint64(m.Color))
-	b = appendUvarint(b, m.BatchID)
-	b = appendUvarint(b, uint64(m.Total))
-	b = appendUvarint(b, uint64(m.From))
-	return b
-}
-
-// Decode parses a message body.
-func (m *AggOrderReq) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.Color = types.ColorID(r.u32())
-	m.BatchID = r.uvarint()
-	m.Total = r.u32()
-	m.From = types.NodeID(r.u32())
-	return r.done()
-}
-
-func (m AggOrderReq) wireTag() byte { return TagAggOrderReq }
-
-// AppendTo appends the message body to b. See wire.go.
-func (m AggOrderResp) AppendTo(b []byte) []byte {
-	b = appendUvarint(b, m.BatchID)
-	b = appendUvarint(b, uint64(m.LastSN))
-	b = appendUvarint(b, uint64(m.Color))
-	return b
-}
-
-// Decode parses a message body.
-func (m *AggOrderResp) Decode(b []byte) error {
-	r := wireReader{b: b}
-	m.BatchID = r.uvarint()
-	m.LastSN = types.SN(r.uvarint())
-	m.Color = types.ColorID(r.u32())
-	return r.done()
-}
-
-func (m AggOrderResp) wireTag() byte { return TagAggOrderResp }
 
 // AppendTo appends the message body to b. See wire.go.
 func (m AggOrderReqBatch) AppendTo(b []byte) []byte {

@@ -48,8 +48,6 @@ func (r *Replica) initObs() {
 		fn   func() uint64
 	}{
 		{"flexlog_replica_appends_total", "Append requests processed (AppendReq handler entries).", r.stats.appends.Load},
-		{"flexlog_replica_batch_appends_total", "Client-side coalesced batches processed (AppendBatchReq).", r.stats.batchAppends.Load},
-		{"flexlog_replica_batch_records_total", "Records carried by coalesced batches.", r.stats.batchRecords.Load},
 		{"flexlog_replica_commits_total", "Order responses applied (SN assignments committed).", r.stats.commits.Load},
 		{"flexlog_replica_reads_total", "Read requests served.", r.stats.reads.Load},
 		{"flexlog_replica_held_reads_total", "Reads parked for a not-yet-seen SN.", r.stats.heldReads.Load},
@@ -122,7 +120,7 @@ func (r *Replica) initObs() {
 }
 
 // traceAppend folds one committed append into the append tracer: persist
-// was measured in doAppend, order_wait is send→OrderResp arrival, commit
+// was measured in doAppend, order_wait is send→order response arrival, commit
 // is the storage commit. Called only when the tracer was enabled at both
 // ends (commitStart and arrivedAt non-zero).
 func (r *Replica) traceAppend(token types.Token, po *pendingOrder, commitStart time.Time) {

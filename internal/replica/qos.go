@@ -37,8 +37,6 @@ func laneTenantOf(msg transport.Message) (types.TenantID, bool) {
 	switch m := msg.(type) {
 	case proto.AppendReq:
 		return m.Tenant, true
-	case proto.AppendBatchReq:
-		return m.Tenant, true
 	case proto.ReadReq:
 		return m.Tenant, true
 	}
@@ -71,8 +69,6 @@ func (r *Replica) onShed(from types.NodeID, msg transport.Message, tenant types.
 	var client types.NodeID
 	switch m := msg.(type) {
 	case proto.AppendReq:
-		rej.Token, rej.Color, client = m.Token, m.Color, m.Client
-	case proto.AppendBatchReq:
 		rej.Token, rej.Color, client = m.Token, m.Color, m.Client
 	case proto.ReadReq:
 		rej.ID, rej.Color, rej.IsRead, client = m.ID, m.Color, true, m.Client

@@ -18,10 +18,10 @@ import (
 func TestEarlyBufferEvictsOldestNotNewest(t *testing.T) {
 	r := &Replica{
 		cfg:   Config{EarlyBound: 3},
-		early: make(map[types.Token]proto.OrderResp),
+		early: make(map[types.Token]orderResp),
 	}
-	resp := func(i int) proto.OrderResp {
-		return proto.OrderResp{Token: types.Token(i), LastSN: types.MakeSN(1, uint32(i))}
+	resp := func(i int) orderResp {
+		return orderResp{OrderRespItem: proto.OrderRespItem{Token: types.Token(i), LastSN: types.MakeSN(1, uint32(i))}}
 	}
 	for i := 1; i <= 3; i++ {
 		r.bufferEarly(resp(i))
@@ -50,7 +50,7 @@ func TestEarlyBufferEvictsOldestNotNewest(t *testing.T) {
 	}
 
 	// Degenerate bound: with room for one entry the newest always wins.
-	r2 := &Replica{cfg: Config{EarlyBound: 1}, early: make(map[types.Token]proto.OrderResp)}
+	r2 := &Replica{cfg: Config{EarlyBound: 1}, early: make(map[types.Token]orderResp)}
 	for i := 10; i < 20; i++ {
 		r2.bufferEarly(resp(i))
 		if _, ok := r2.early[types.Token(i)]; !ok {
@@ -66,10 +66,10 @@ func TestEarlyBufferEvictsOldestNotNewest(t *testing.T) {
 // does not grow without bound when onAppend keeps consuming entries (the
 // map shrinks but the queue only grows until compaction).
 func TestEarlyBufferCompactsStaleQueue(t *testing.T) {
-	r := &Replica{cfg: Config{EarlyBound: 1 << 20}, early: make(map[types.Token]proto.OrderResp)}
+	r := &Replica{cfg: Config{EarlyBound: 1 << 20}, early: make(map[types.Token]orderResp)}
 	for i := 0; i < 10_000; i++ {
 		tok := types.Token(i)
-		r.bufferEarly(proto.OrderResp{Token: tok, LastSN: types.MakeSN(1, uint32(i))})
+		r.bufferEarly(orderResp{OrderRespItem: proto.OrderRespItem{Token: tok, LastSN: types.MakeSN(1, uint32(i))}})
 		delete(r.early, tok) // as onAppend does when the AppendReq arrives
 	}
 	if len(r.earlyOrder) > 1024 {

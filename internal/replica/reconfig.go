@@ -158,7 +158,7 @@ func (r *Replica) ctrlLag() uint64 {
 // orderReplicas returns the commit fan-out list for an order request: the
 // shard's current membership, plus this replica when the topology no
 // longer names it (draining). The removed replica still holds persisted
-// records awaiting their SN and must hear the OrderResp to flush them.
+// records awaiting their SN and must hear the order response to flush them.
 func (r *Replica) orderReplicas(replicas []types.NodeID) []types.NodeID {
 	for _, id := range replicas {
 		if id == r.cfg.ID {

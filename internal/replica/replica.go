@@ -11,13 +11,12 @@
 // touches storage (internally synchronized), the per-color atomic
 // watermarks, the lock-striped held-read registry, and atomic counters —
 // never long-held r.mu. See readpath.go for why this preserves
-// linearizability. Write-class traffic (AppendReq, AppendBatchReq,
-// OrderResp, OrderRespBatch) is dispatched to a keyed write lane
-// (Config.WriteWorkers) that pins each color to one worker: same-color
-// messages stay FIFO while different colors persist and commit in
-// parallel — see writepath.go. Everything else — trims, sync, multi-append
-// — stays on the serialized delivery loop, with shared state guarded by
-// r.mu. Timers and multi-append replays run on background goroutines.
+// linearizability. Write-class traffic (AppendReq, OrderRespBatch) is
+// dispatched to a keyed write lane (Config.WriteWorkers) that pins each
+// color to one worker: same-color messages stay FIFO while different
+// colors persist and commit in parallel — see writepath.go. Everything
+// else — trims, sync, multi-append — stays on the serialized delivery
+// loop, with shared state guarded by r.mu. Timers and multi-append replays run on background goroutines.
 package replica
 
 import (
@@ -170,23 +169,21 @@ type trimWait struct {
 
 // Stats counts replica activity.
 type Stats struct {
-	Appends      uint64
-	BatchAppends uint64 // client-side coalesced batches (AppendBatchReq)
-	BatchRecords uint64 // records carried by those batches
-	Commits      uint64
-	Reads        uint64
-	HeldReads    uint64
-	HeldWakeups  uint64 // parked reads released by a satisfying commit
-	ReadMisses   uint64
-	Subscribes   uint64
-	Trims        uint64
-	OReqRetries  uint64
-	AppendDrops  uint64 // appends dropped because persistence failed (was silent)
-	OReqDrops    uint64 // order requests dropped on topology lookup failure (was silent)
-	Syncs        uint64
-	SyncRetries  uint64 // stalled sync-phase stages re-driven (lossy links)
-	SyncAborts   uint64 // wedged sync runs abandoned (peer crashed mid-run)
-	Replays      uint64 // multi-append record sets replayed
+	Appends     uint64
+	Commits     uint64
+	Reads       uint64
+	HeldReads   uint64
+	HeldWakeups uint64 // parked reads released by a satisfying commit
+	ReadMisses  uint64
+	Subscribes  uint64
+	Trims       uint64
+	OReqRetries uint64
+	AppendDrops uint64 // appends dropped because persistence failed (was silent)
+	OReqDrops   uint64 // order requests dropped on topology lookup failure (was silent)
+	Syncs       uint64
+	SyncRetries uint64 // stalled sync-phase stages re-driven (lossy links)
+	SyncAborts  uint64 // wedged sync runs abandoned (peer crashed mid-run)
+	Replays     uint64 // multi-append record sets replayed
 
 	// Reconfiguration (DESIGN.md §15).
 	CatchupRounds   uint64 // catch-up rounds ingested (sync-phase, join, merge)
@@ -198,23 +195,21 @@ type Stats struct {
 // counters is the live, atomically updated form of Stats: the read lane
 // bumps these concurrently with the mutation loop.
 type counters struct {
-	appends      atomic.Uint64
-	batchAppends atomic.Uint64
-	batchRecords atomic.Uint64
-	commits      atomic.Uint64
-	reads        atomic.Uint64
-	heldReads    atomic.Uint64
-	heldWakeups  atomic.Uint64
-	readMisses   atomic.Uint64
-	subscribes   atomic.Uint64
-	trims        atomic.Uint64
-	oreqRetries  atomic.Uint64
-	appendDrops  atomic.Uint64
-	oreqDrops    atomic.Uint64
-	syncs        atomic.Uint64
-	syncRetries  atomic.Uint64
-	syncAborts   atomic.Uint64
-	replays      atomic.Uint64
+	appends     atomic.Uint64
+	commits     atomic.Uint64
+	reads       atomic.Uint64
+	heldReads   atomic.Uint64
+	heldWakeups atomic.Uint64
+	readMisses  atomic.Uint64
+	subscribes  atomic.Uint64
+	trims       atomic.Uint64
+	oreqRetries atomic.Uint64
+	appendDrops atomic.Uint64
+	oreqDrops   atomic.Uint64
+	syncs       atomic.Uint64
+	syncRetries atomic.Uint64
+	syncAborts  atomic.Uint64
+	replays     atomic.Uint64
 
 	catchupRounds   atomic.Uint64
 	catchupRecords  atomic.Uint64
@@ -224,23 +219,21 @@ type counters struct {
 
 func (c *counters) snapshot() Stats {
 	return Stats{
-		Appends:      c.appends.Load(),
-		BatchAppends: c.batchAppends.Load(),
-		BatchRecords: c.batchRecords.Load(),
-		Commits:      c.commits.Load(),
-		Reads:        c.reads.Load(),
-		HeldReads:    c.heldReads.Load(),
-		HeldWakeups:  c.heldWakeups.Load(),
-		ReadMisses:   c.readMisses.Load(),
-		Subscribes:   c.subscribes.Load(),
-		Trims:        c.trims.Load(),
-		OReqRetries:  c.oreqRetries.Load(),
-		AppendDrops:  c.appendDrops.Load(),
-		OReqDrops:    c.oreqDrops.Load(),
-		Syncs:        c.syncs.Load(),
-		SyncRetries:  c.syncRetries.Load(),
-		SyncAborts:   c.syncAborts.Load(),
-		Replays:      c.replays.Load(),
+		Appends:     c.appends.Load(),
+		Commits:     c.commits.Load(),
+		Reads:       c.reads.Load(),
+		HeldReads:   c.heldReads.Load(),
+		HeldWakeups: c.heldWakeups.Load(),
+		ReadMisses:  c.readMisses.Load(),
+		Subscribes:  c.subscribes.Load(),
+		Trims:       c.trims.Load(),
+		OReqRetries: c.oreqRetries.Load(),
+		AppendDrops: c.appendDrops.Load(),
+		OReqDrops:   c.oreqDrops.Load(),
+		Syncs:       c.syncs.Load(),
+		SyncRetries: c.syncRetries.Load(),
+		SyncAborts:  c.syncAborts.Load(),
+		Replays:     c.replays.Load(),
 
 		CatchupRounds:   c.catchupRounds.Load(),
 		CatchupRecords:  c.catchupRecords.Load(),
@@ -294,8 +287,8 @@ type Replica struct {
 	syncRuns   map[uint64]*syncRun // concurrent sync-phases, keyed by run id
 	syncSeq    uint64
 	replays    map[types.Token]*replayWait
-	early      map[types.Token]proto.OrderResp // OResps that beat the AppendReq
-	earlyOrder []types.Token                   // insertion order of early entries (oldest first)
+	early      map[types.Token]orderResp // OResps that beat the AppendReq
+	earlyOrder []types.Token             // insertion order of early entries (oldest first)
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	wg         sync.WaitGroup
@@ -370,7 +363,7 @@ func newReplica(cfg Config, st *storage.Store) *Replica {
 		pending:  make(map[types.Token]*pendingOrder),
 		trims:    make(map[uint64]*trimWait),
 		replays:  make(map[types.Token]*replayWait),
-		early:    make(map[types.Token]proto.OrderResp),
+		early:    make(map[types.Token]orderResp),
 		syncRuns: make(map[uint64]*syncRun),
 		pulls:    make(map[uint64]*pull),
 		stopCh:   make(chan struct{}),
@@ -489,10 +482,6 @@ func (r *Replica) handle(from types.NodeID, msg transport.Message) {
 	switch m := msg.(type) {
 	case proto.AppendReq:
 		r.onAppend(from, m)
-	case proto.AppendBatchReq:
-		r.onAppendBatch(from, m)
-	case proto.OrderResp:
-		r.onOrderResp(m)
 	case proto.OrderRespBatch:
 		r.onOrderRespBatch(m)
 	case proto.ReadReq:
@@ -538,27 +527,6 @@ func (r *Replica) onAppend(from types.NodeID, m proto.AppendReq) {
 	}
 	r.tenantCounters(m.Tenant).appendObserved(uint64(len(m.Records)))
 	r.doAppend(from, m.Color, m.Token, m.Records, m.Client)
-}
-
-// onAppendBatch handles a client-side coalesced batch: the sets are
-// flattened and persisted/ordered as one unit, so they occupy one
-// consecutive SN range and the batching client can demultiplex per-set
-// SNs from the last SN in the AppendAck.
-func (r *Replica) onAppendBatch(from types.NodeID, m proto.AppendBatchReq) {
-	records := make([][]byte, 0, m.NRecords())
-	for _, set := range m.Sets {
-		records = append(records, set...)
-	}
-	if len(records) == 0 {
-		return
-	}
-	if !r.admitAppend(from, m.Tenant, m.Token, m.Color, m.Client, len(records)) {
-		return
-	}
-	r.tenantCounters(m.Tenant).appendObserved(uint64(len(records)))
-	r.stats.batchAppends.Add(1)
-	r.stats.batchRecords.Add(uint64(len(records)))
-	r.doAppend(from, m.Color, m.Token, records, m.Client)
 }
 
 // doAppend runs the replica side of the append protocol for one token.
@@ -615,7 +583,7 @@ func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.T
 			return
 		}
 		// Persisted but not yet committed: fall through so this client is
-		// registered in pending and acked when the OrderResp lands.
+		// registered in pending and acked when the order response lands.
 	}
 	r.mu.Lock()
 	if early, ok := r.early[token]; ok {
@@ -676,7 +644,7 @@ func (r *Replica) doAppend(from types.NodeID, color types.ColorID, token types.T
 // either directly or through the per-color coalescer.
 func (r *Replica) sendOrderReq(token types.Token, color types.ColorID, n uint32) {
 	if r.coal != nil {
-		r.coal.enqueue(color, proto.OrderItem{Token: token, NRecords: n})
+		r.coal.enqueue(color, proto.OrderReq{Token: token, NRecords: n})
 		return
 	}
 	sh, err := r.topo.Shard(r.cfg.Shard)
@@ -686,17 +654,23 @@ func (r *Replica) sendOrderReq(token types.Token, color types.ColorID, n uint32)
 		r.stats.oreqDrops.Add(1)
 		return
 	}
-	req := proto.OrderReq{
+	r.ep.Send(r.sequencer(), proto.OrderReqBatch{
 		Color:    color,
-		Token:    token,
-		NRecords: n,
 		Shard:    r.cfg.Shard,
 		Replicas: r.orderReplicas(sh.Replicas),
-	}
-	r.ep.Send(r.sequencer(), req)
+		Items:    []proto.OrderReq{{Token: token, NRecords: n}},
+	})
 }
 
-func (r *Replica) onOrderResp(m proto.OrderResp) {
+// orderResp is one assignment of an OrderRespBatch together with the
+// batch's color: the unit a replica commits, or buffers when it beats its
+// AppendReq.
+type orderResp struct {
+	proto.OrderRespItem
+	Color types.ColorID
+}
+
+func (r *Replica) onOrderResp(m orderResp) {
 	var commitStart time.Time
 	if r.appendTr.Enabled() {
 		commitStart = time.Now()
@@ -735,12 +709,10 @@ func (r *Replica) onOrderResp(m proto.OrderResp) {
 	r.wakeHeld(m.Color, r.frontier(m.Color))
 }
 
-// bufferEarly stores an OrderResp that beat its AppendReq. The buffer is
+// bufferEarly stores an assignment that beat its AppendReq. The buffer is
 // bounded (Config.EarlyBound): overflow evicts the oldest live entry —
-// never the one just inserted. The previous random map-iteration eviction
-// could drop the just-buffered response itself, stalling that append until
-// the sequencer's retry rebroadcast.
-func (r *Replica) bufferEarly(m proto.OrderResp) {
+// never the one just inserted, which the append that follows it needs.
+func (r *Replica) bufferEarly(m orderResp) {
 	bound := r.cfg.EarlyBound
 	if bound <= 0 {
 		bound = 1 << 16
@@ -768,8 +740,9 @@ func (r *Replica) bufferEarly(m proto.OrderResp) {
 		if !found {
 			break
 		}
-		// Dropping a buffered OResp is harmless: the sequencer rebroadcasts
-		// on the owning replica's retry.
+		// Dropping a buffered OResp is harmless: when the append arrives,
+		// this replica's own order request for the token is answered with
+		// the assignment the sequencer cached.
 		delete(r.early, victim)
 	}
 	// onAppend deletes from the map only, so stale tokens accumulate in the

@@ -20,7 +20,7 @@ type harness struct {
 	net      *transport.Network
 	topo     *topology.Topology
 	replicas []*Replica
-	seqCh    chan proto.OrderReq
+	seqCh    chan seqReq
 	cliCh    chan transport.Message
 	seqEP    transport.Endpoint
 	cliEP    transport.Endpoint
@@ -31,7 +31,7 @@ func newHarness(t *testing.T, replicas int) *harness {
 	h := &harness{
 		net:   transport.NewNetwork(transport.ZeroLink()),
 		topo:  topology.New(),
-		seqCh: make(chan proto.OrderReq, 1024),
+		seqCh: make(chan seqReq, 1024),
 		cliCh: make(chan transport.Message, 1024),
 	}
 	const seqID, cliID = 900, 500
@@ -47,8 +47,10 @@ func newHarness(t *testing.T, replicas int) *harness {
 	}
 	var err error
 	h.seqEP, err = h.net.Register(seqID, func(from types.NodeID, msg transport.Message) {
-		if req, ok := msg.(proto.OrderReq); ok {
-			h.seqCh <- req
+		if b, ok := msg.(proto.OrderReqBatch); ok {
+			for _, it := range b.Items {
+				h.seqCh <- seqReq{OrderReq: it, Color: b.Color, Replicas: b.Replicas}
+			}
 		}
 	})
 	if err != nil {
@@ -78,8 +80,16 @@ func newHarness(t *testing.T, replicas int) *harness {
 	return h
 }
 
+// seqReq is one order request as the fake sequencer received it: an item
+// of an OrderReqBatch with the batch's color and shard membership.
+type seqReq struct {
+	proto.OrderReq
+	Color    types.ColorID
+	Replicas []types.NodeID
+}
+
 // expectOrderReq waits for (deduplicated) order requests for a token.
-func (h *harness) expectOrderReq(t *testing.T, token types.Token) proto.OrderReq {
+func (h *harness) expectOrderReq(t *testing.T, token types.Token) seqReq {
 	t.Helper()
 	deadline := time.After(5 * time.Second)
 	for {
@@ -94,11 +104,14 @@ func (h *harness) expectOrderReq(t *testing.T, token types.Token) proto.OrderReq
 	}
 }
 
-// grant broadcasts the OrderResp for a request as the sequencer would.
-func (h *harness) grant(req proto.OrderReq, sn types.SN) {
-	h.seqEP.Broadcast(req.Replicas, proto.OrderResp{
-		Token: req.Token, LastSN: sn, NRecords: req.NRecords, Color: req.Color,
-	})
+// grant broadcasts the assignment for a request as the sequencer would.
+func (h *harness) grant(req seqReq, sn types.SN) {
+	h.seqEP.Broadcast(req.Replicas, grantMsg(req.Color, req.Token, sn))
+}
+
+// grantMsg is a one-item OrderRespBatch for a one-record append.
+func grantMsg(color types.ColorID, token types.Token, sn types.SN) proto.OrderRespBatch {
+	return proto.OrderRespBatch{Color: color, Items: []proto.OrderRespItem{{Token: token, LastSN: sn, NRecords: 1}}}
 }
 
 func (h *harness) waitClient(t *testing.T, match func(transport.Message) bool) transport.Message {
@@ -153,7 +166,7 @@ func TestEarlyOrderRespBuffered(t *testing.T) {
 	h := newHarness(t, 1)
 	token := types.MakeToken(1, 2)
 	// OResp arrives BEFORE the append broadcast (race §6.1).
-	h.seqEP.Send(1, proto.OrderResp{Token: token, LastSN: types.MakeSN(1, 7), NRecords: 1, Color: 0})
+	h.seqEP.Send(1, grantMsg(0, token, types.MakeSN(1, 7)))
 	time.Sleep(5 * time.Millisecond)
 	h.cliEP.Send(1, proto.AppendReq{Color: 0, Token: token, Records: [][]byte{[]byte("late")}, Client: 500})
 	m := h.waitClient(t, func(m transport.Message) bool {

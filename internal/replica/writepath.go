@@ -19,7 +19,7 @@ import (
 //   - per-color FIFO: the lane pins each color to one worker and the
 //     delivery loop dispatches in arrival order, so two messages of the
 //     same color are never reordered or concurrent. An AppendReq and the
-//     OrderResp that commits it share a color, hence a worker.
+//     OrderRespBatch that commits it share a color, hence a worker.
 //   - cross-color independence: appends and commits of different colors
 //     share no state beyond r.mu (brief, pending-map bookkeeping), the
 //     storage stack (per-color index locks + narrow allocator lock, see
@@ -37,10 +37,6 @@ import (
 func writeClass(msg transport.Message) (uint64, bool) {
 	switch m := msg.(type) {
 	case proto.AppendReq:
-		return uint64(m.Color), true
-	case proto.AppendBatchReq:
-		return uint64(m.Color), true
-	case proto.OrderResp:
 		return uint64(m.Color), true
 	case proto.OrderRespBatch:
 		return uint64(m.Color), true
@@ -63,12 +59,12 @@ func (r *Replica) lanes() transport.Lanes {
 	return l
 }
 
-// onOrderRespBatch commits a batched set of assignments. Items share the
+// onOrderRespBatch commits a batch of assignments. Items share the
 // batch's color, so on a write lane the whole batch runs on that color's
 // worker, FIFO with the appends it commits.
 func (r *Replica) onOrderRespBatch(m proto.OrderRespBatch) {
 	for _, it := range m.Items {
-		r.onOrderResp(proto.OrderResp{Token: it.Token, LastSN: it.LastSN, NRecords: it.NRecords, Color: m.Color})
+		r.onOrderResp(orderResp{OrderRespItem: it, Color: m.Color})
 	}
 }
 
@@ -83,7 +79,7 @@ type orderCoalescer struct {
 	r *Replica
 
 	mu      sync.Mutex
-	byColor map[types.ColorID][]proto.OrderItem
+	byColor map[types.ColorID][]proto.OrderReq
 	order   []types.ColorID // flush in first-arrival order
 
 	kick chan struct{}
@@ -92,14 +88,14 @@ type orderCoalescer struct {
 func newOrderCoalescer(r *Replica) *orderCoalescer {
 	return &orderCoalescer{
 		r:       r,
-		byColor: make(map[types.ColorID][]proto.OrderItem),
+		byColor: make(map[types.ColorID][]proto.OrderReq),
 		kick:    make(chan struct{}, 1),
 	}
 }
 
 // enqueue adds one order request to the color's pending batch and wakes
 // the flusher.
-func (c *orderCoalescer) enqueue(color types.ColorID, it proto.OrderItem) {
+func (c *orderCoalescer) enqueue(color types.ColorID, it proto.OrderReq) {
 	c.mu.Lock()
 	q, ok := c.byColor[color]
 	if !ok {
@@ -147,7 +143,7 @@ func (c *orderCoalescer) flush() {
 	}
 	byColor := c.byColor
 	order := c.order
-	c.byColor = make(map[types.ColorID][]proto.OrderItem)
+	c.byColor = make(map[types.ColorID][]proto.OrderReq)
 	c.order = nil
 	c.mu.Unlock()
 
@@ -166,17 +162,8 @@ func (c *orderCoalescer) flush() {
 	seq := r.sequencer()
 	replicas := r.orderReplicas(sh.Replicas)
 	for _, color := range order {
-		items := byColor[color]
-		if len(items) == 1 {
-			// Single request: keep the compact legacy frame.
-			r.ep.Send(seq, proto.OrderReq{
-				Color: color, Token: items[0].Token, NRecords: items[0].NRecords,
-				Shard: r.cfg.Shard, Replicas: replicas,
-			})
-			continue
-		}
 		r.ep.Send(seq, proto.OrderReqBatch{
-			Color: color, Shard: r.cfg.Shard, Replicas: replicas, Items: items,
+			Color: color, Shard: r.cfg.Shard, Replicas: replicas, Items: byColor[color],
 		})
 	}
 }

@@ -120,7 +120,7 @@ func TestWriteLanePreservesPerColorFIFO(t *testing.T) {
 			next[color]++
 			// Grant immediately: the OrderResp chases the AppendReq onto
 			// the same color worker.
-			h.seqEP.Send(1, proto.OrderResp{Token: token, LastSN: types.MakeSN(1, next[color]), NRecords: 1, Color: color})
+			h.seqEP.Send(1, grantMsg(color, token, types.MakeSN(1, next[color])))
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)

@@ -1,9 +1,9 @@
 // Package scalog implements the Scalog-style ordering layer that Boki
 // adopts (§3.3, §9.1): order requests are batched by an aggregator and the
 // log tail is advanced through a Paxos-replicated counter — one consensus
-// decision per batch. It answers the same OrderReq/OrderResp wire protocol
-// as FlexLog's sequencer tree, over the same transport, which is what makes
-// the Figure 4 comparison apples-to-apples.
+// decision per batch. It answers the same OrderReqBatch/OrderRespBatch wire
+// protocol as FlexLog's sequencer tree, over the same transport, which is
+// what makes the Figure 4 comparison apples-to-apples.
 package scalog
 
 import (
@@ -123,52 +123,66 @@ func (o *Orderer) Stop() {
 }
 
 func (o *Orderer) handle(from types.NodeID, msg transport.Message) {
-	req, ok := msg.(proto.OrderReq)
+	b, ok := msg.(proto.OrderReqBatch)
 	if !ok {
 		return
 	}
-	o.mu.Lock()
-	o.stats.Requests++
-	if sn, dup := o.tokens[req.Token]; dup {
-		o.stats.DupTokens++
-		o.mu.Unlock()
-		if sn.Valid() {
-			o.ep.Broadcast(req.Replicas, proto.OrderResp{Token: req.Token, LastSN: sn, NRecords: req.NRecords, Color: req.Color})
+	queued := false
+	for _, it := range b.Items {
+		m := member{token: it.Token, n: it.NRecords, replicas: b.Replicas, color: b.Color}
+		o.mu.Lock()
+		o.stats.Requests++
+		if sn, dup := o.tokens[m.token]; dup {
+			o.stats.DupTokens++
+			o.mu.Unlock()
+			if sn.Valid() {
+				o.answer(m, sn)
+			}
+			continue
 		}
-		return
-	}
-	o.tokens[req.Token] = types.InvalidSN
-	if o.cfg.PerRequest {
+		o.tokens[m.token] = types.InvalidSN
+		if o.cfg.PerRequest {
+			o.mu.Unlock()
+			// One pipelined Paxos decision per request; run off the
+			// delivery goroutine so decisions overlap.
+			go o.decideOne(m)
+			continue
+		}
+		o.pending = append(o.pending, m)
 		o.mu.Unlock()
-		// One pipelined Paxos decision per request; run off the delivery
-		// goroutine so decisions overlap.
-		go o.decideOne(req)
-		return
+		queued = true
 	}
-	o.pending = append(o.pending, member{token: req.Token, n: req.NRecords, replicas: req.Replicas, color: req.Color})
-	o.mu.Unlock()
-	select {
-	case o.kick <- struct{}{}:
-	default:
+	if queued {
+		select {
+		case o.kick <- struct{}{}:
+		default:
+		}
 	}
 }
 
+// answer broadcasts one request's assignment to its replica set.
+func (o *Orderer) answer(m member, lastSN types.SN) {
+	o.ep.Broadcast(m.replicas, proto.OrderRespBatch{Color: m.color, Items: []proto.OrderRespItem{
+		{Token: m.token, LastSN: lastSN, NRecords: m.n},
+	}})
+}
+
 // decideOne serves one order request with its own Paxos decision.
-func (o *Orderer) decideOne(req proto.OrderReq) {
-	end, err := o.counter.Next(req.NRecords)
+func (o *Orderer) decideOne(m member) {
+	end, err := o.counter.Next(m.n)
 	o.mu.Lock()
 	if err != nil {
 		o.stats.Failures++
-		delete(o.tokens, req.Token)
+		delete(o.tokens, m.token)
 		o.mu.Unlock()
 		return
 	}
 	o.stats.Batches++
-	o.stats.Assigned += uint64(req.NRecords)
+	o.stats.Assigned += uint64(m.n)
 	sn := types.SN(end)
-	o.tokens[req.Token] = sn
+	o.tokens[m.token] = sn
 	o.mu.Unlock()
-	o.ep.Broadcast(req.Replicas, proto.OrderResp{Token: req.Token, LastSN: sn, NRecords: req.NRecords, Color: req.Color})
+	o.answer(m, sn)
 }
 
 func (o *Orderer) flusherLoop() {
@@ -222,22 +236,14 @@ func (o *Orderer) flush() {
 	o.stats.Batches++
 	o.stats.Assigned += uint64(total)
 	running := end - uint64(total)
-	type out struct {
-		resp     proto.OrderResp
-		replicas []types.NodeID
-	}
-	outs := make([]out, 0, len(batch))
-	for _, m := range batch {
+	sns := make([]types.SN, len(batch))
+	for i, m := range batch {
 		running += uint64(m.n)
-		sn := types.SN(running)
-		o.tokens[m.token] = sn
-		outs = append(outs, out{
-			resp:     proto.OrderResp{Token: m.token, LastSN: sn, NRecords: m.n, Color: m.color},
-			replicas: m.replicas,
-		})
+		sns[i] = types.SN(running)
+		o.tokens[m.token] = sns[i]
 	}
 	o.mu.Unlock()
-	for _, ot := range outs {
-		o.ep.Broadcast(ot.replicas, ot.resp)
+	for i, m := range batch {
+		o.answer(m, sns[i])
 	}
 }

@@ -11,10 +11,10 @@ import (
 	"flexlog/internal/types"
 )
 
-// receiver collects OrderResps for a fake replica set.
+// receiver collects the assignments broadcast to a fake replica set.
 type receiver struct {
 	mu    sync.Mutex
-	resps []proto.OrderResp
+	resps []proto.OrderRespItem
 	ch    chan struct{}
 }
 
@@ -22,11 +22,13 @@ func newReceiver(t *testing.T, net *transport.Network, id types.NodeID) *receive
 	t.Helper()
 	r := &receiver{ch: make(chan struct{}, 4096)}
 	if _, err := net.Register(id, func(from types.NodeID, msg transport.Message) {
-		if resp, ok := msg.(proto.OrderResp); ok {
+		if m, ok := msg.(proto.OrderRespBatch); ok {
 			r.mu.Lock()
-			r.resps = append(r.resps, resp)
+			r.resps = append(r.resps, m.Items...)
 			r.mu.Unlock()
-			r.ch <- struct{}{}
+			for range m.Items {
+				r.ch <- struct{}{}
+			}
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -34,7 +36,7 @@ func newReceiver(t *testing.T, net *transport.Network, id types.NodeID) *receive
 	return r
 }
 
-func (r *receiver) wait(t *testing.T, n int) []proto.OrderResp {
+func (r *receiver) wait(t *testing.T, n int) []proto.OrderRespItem {
 	t.Helper()
 	deadline := time.After(10 * time.Second)
 	for i := 0; i < n; i++ {
@@ -46,7 +48,13 @@ func (r *receiver) wait(t *testing.T, n int) []proto.OrderResp {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]proto.OrderResp(nil), r.resps...)
+	return append([]proto.OrderRespItem(nil), r.resps...)
+}
+
+// orderReq is a lone request for n SNs whose answer goes to receiver 50.
+func orderReq(tokenCtr, n uint32) proto.OrderReqBatch {
+	return proto.OrderReqBatch{Color: 0, Replicas: []types.NodeID{50},
+		Items: []proto.OrderReq{{Token: types.MakeToken(9, tokenCtr), NRecords: n}}}
 }
 
 func newOrderer(t *testing.T, batch time.Duration) (*transport.Network, *Orderer, *receiver) {
@@ -78,10 +86,7 @@ func TestOrdererAssignsDistinctSNs(t *testing.T) {
 	}
 	const n = 50
 	for i := uint32(1); i <= n; i++ {
-		sender.Send(100, proto.OrderReq{
-			Color: 0, Token: types.MakeToken(9, i), NRecords: 1,
-			Replicas: []types.NodeID{50},
-		})
+		sender.Send(100, orderReq(i, 1))
 	}
 	resps := rx.wait(t, n)
 	seen := make(map[types.SN]bool)
@@ -101,10 +106,7 @@ func TestOrdererBatchesRequests(t *testing.T) {
 	sender, _ := net.Register(60, func(types.NodeID, transport.Message) {})
 	const n = 30
 	for i := uint32(1); i <= n; i++ {
-		sender.Send(100, proto.OrderReq{
-			Color: 0, Token: types.MakeToken(9, i), NRecords: 1,
-			Replicas: []types.NodeID{50},
-		})
+		sender.Send(100, orderReq(i, 1))
 	}
 	rx.wait(t, n)
 	st := o.Stats()
@@ -120,7 +122,7 @@ func TestOrdererBatchesRequests(t *testing.T) {
 func TestOrdererTokenDedup(t *testing.T) {
 	net, o, rx := newOrderer(t, 0)
 	sender, _ := net.Register(60, func(types.NodeID, transport.Message) {})
-	req := proto.OrderReq{Color: 0, Token: types.MakeToken(9, 1), NRecords: 1, Replicas: []types.NodeID{50}}
+	req := orderReq(1, 1)
 	sender.Send(100, req)
 	first := rx.wait(t, 1)
 	sender.Send(100, req)   // retry: must re-broadcast the same SN
@@ -136,8 +138,8 @@ func TestOrdererTokenDedup(t *testing.T) {
 func TestOrdererRangeRequests(t *testing.T) {
 	net, _, rx := newOrderer(t, 0)
 	sender, _ := net.Register(60, func(types.NodeID, transport.Message) {})
-	sender.Send(100, proto.OrderReq{Color: 0, Token: types.MakeToken(9, 1), NRecords: 5, Replicas: []types.NodeID{50}})
-	sender.Send(100, proto.OrderReq{Color: 0, Token: types.MakeToken(9, 2), NRecords: 3, Replicas: []types.NodeID{50}})
+	sender.Send(100, orderReq(1, 5))
+	sender.Send(100, orderReq(2, 3))
 	resps := rx.wait(t, 2)
 	// Ranges must be disjoint and contiguous in total.
 	total := uint32(0)
@@ -185,10 +187,7 @@ func TestDuelingOrderers(t *testing.T) {
 		if i%2 == 0 {
 			target = 200
 		}
-		sender.Send(target, proto.OrderReq{
-			Color: 0, Token: types.MakeToken(9, i), NRecords: 1,
-			Replicas: []types.NodeID{50},
-		})
+		sender.Send(target, orderReq(i, 1))
 	}
 	rx.wait(t, n)
 	pre := o1.PaxosStats().Preemptions + o2.PaxosStats().Preemptions

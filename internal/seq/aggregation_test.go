@@ -20,7 +20,7 @@ func TestAggregatedRangesAreDisjoint(t *testing.T) {
 	for i := uint32(1); i <= n; i++ {
 		size := (i % 4) + 1 // batches of 1..4 records
 		req := orderReq(i, 0, size)
-		sizes[req.Token] = size
+		sizes[req.Items[0].Token] = size
 		reps[0].ep.Send(110, req)
 	}
 	r := reps[1]
@@ -69,17 +69,22 @@ func TestChildBatchResendIsDeduplicated(t *testing.T) {
 	defer root.Stop()
 
 	// A bare endpoint impersonating the leaf sequencer.
-	respCh := make(chan proto.AggOrderResp, 16)
+	respCh := make(chan proto.AggOrderRespItem, 16)
 	leafEP, err := net.Register(110, func(from types.NodeID, msg transport.Message) {
-		if m, ok := msg.(proto.AggOrderResp); ok {
-			respCh <- m
+		if m, ok := msg.(proto.AggOrderRespBatch); ok {
+			for _, it := range m.Items {
+				respCh <- it
+			}
 		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	req := proto.AggOrderReq{Color: 0, BatchID: 7, Total: 5, From: 110}
+	round := func(batchID uint64, total uint32) proto.AggOrderReqBatch {
+		return proto.AggOrderReqBatch{From: 110, Items: []proto.AggOrderItem{{Color: 0, BatchID: batchID, Total: total}}}
+	}
+	req := round(7, 5)
 	leafEP.Send(100, req)
 	first := <-respCh
 	leafEP.Send(100, req) // resend after a (simulated) timeout
@@ -91,7 +96,7 @@ func TestChildBatchResendIsDeduplicated(t *testing.T) {
 		t.Fatalf("root assigned %d, want 5 (dedup failed)", root.Stats().Assigned)
 	}
 	// A distinct batch id gets a fresh, adjacent range.
-	leafEP.Send(100, proto.AggOrderReq{Color: 0, BatchID: 8, Total: 3, From: 110})
+	leafEP.Send(100, round(8, 3))
 	third := <-respCh
 	if third.LastSN != first.LastSN+3 {
 		t.Fatalf("fresh batch range = %v, want %v", third.LastSN, first.LastSN+3)

@@ -428,7 +428,7 @@ func (s *Sequencer) resendExpired(now time.Time) {
 		return
 	}
 	type out struct {
-		req proto.AggOrderReq
+		req proto.AggOrderReqBatch
 		to  types.NodeID
 	}
 	var outs []out
@@ -458,7 +458,7 @@ func (s *Sequencer) resendExpired(now time.Time) {
 		}
 		s.c.resends.Add(1)
 		outs = append(outs, out{
-			req: proto.AggOrderReq{Color: inf.color, BatchID: id, Total: inf.total, From: s.cfg.ID},
+			req: proto.AggOrderReqBatch{From: s.cfg.ID, Items: []proto.AggOrderItem{{Color: inf.color, BatchID: id, Total: inf.total}}},
 			to:  parent,
 		})
 		return true

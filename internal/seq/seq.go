@@ -108,7 +108,8 @@ type Config struct {
 	// while the previous round is still unanswered, and combines the
 	// rounds of multiple colors into a single AggOrderReqBatch frame to
 	// the parent. Off, the flusher behaves like the classic one-frame-
-	// per-color stage (still correct, just not overlapped).
+	// per-color stage (a batch of one per color; still correct, just not
+	// overlapped).
 	PipelinedFlush bool
 }
 
@@ -131,9 +132,17 @@ func DefaultConfig() Config {
 // member is one constituent of a pending/in-flight aggregated batch.
 type member struct {
 	// Exactly one of req / child is set.
-	req   *proto.OrderReq // direct request from a replica (entry point)
-	child *childBatch     // merged batch from a child sequencer
+	req   *directReq  // order request from a replica (entry point)
+	child *childBatch // merged batch from a child sequencer
 	n     uint32
+}
+
+// directReq is one item of a replica's OrderReqBatch, with the shard
+// membership its answer is broadcast to.
+type directReq struct {
+	token    types.Token
+	shard    types.ShardID
+	replicas []types.NodeID
 }
 
 type childBatch struct {
@@ -156,9 +165,9 @@ type inflight struct {
 // Stats counts ordering-layer activity.
 type Stats struct {
 	Assigned     uint64 // SNs issued by this node as region owner
-	DirectReqs   uint64 // order requests received from replicas (incl. batch items)
-	ReqBatches   uint64 // coalesced OrderReqBatch messages received
-	ChildReqs    uint64 // aggregated requests received from children (incl. batch items)
+	DirectReqs   uint64 // order requests received from replicas (OrderReqBatch items)
+	ReqBatches   uint64 // OrderReqBatch messages received
+	ChildReqs    uint64 // aggregated rounds received from children (AggOrderReqBatch items)
 	BatchesSent  uint64 // aggregated requests sent to the parent
 	Resends      uint64
 	Elections    uint64 // leaderships won by this node
@@ -238,25 +247,25 @@ type childKey struct {
 	batchID uint64
 }
 
-// seqWriteClass keys order traffic onto the write lane: per-color frames
-// hash by color (one color stays FIFO on one worker; colors run in
-// parallel), multi-color batch frames hash by their sender so a child's
-// combined rounds stay ordered. Election and heartbeat traffic stays on
-// the inline delivery path.
+// seqWriteClass keys order traffic onto the write lane by color: one
+// color stays FIFO on one worker while colors run in parallel. A
+// multi-color aggregation frame hashes by its first item's color, so a
+// lone round lands where its color's other traffic does; rounds are
+// independent (each owns its batch id and SN range), so a combined frame
+// needs no ordering against them. Election and heartbeat traffic, and
+// empty frames, stay on the inline delivery path.
 func seqWriteClass(msg transport.Message) (uint64, bool) {
 	switch m := msg.(type) {
-	case proto.OrderReq:
-		return uint64(m.Color), true
 	case proto.OrderReqBatch:
 		return uint64(m.Color), true
-	case proto.AggOrderReq:
-		return uint64(m.Color), true
-	case proto.AggOrderResp:
-		return uint64(m.Color), true
 	case proto.AggOrderReqBatch:
-		return uint64(m.From), true
+		if len(m.Items) > 0 {
+			return uint64(m.Items[0].Color), true
+		}
 	case proto.AggOrderRespBatch:
-		return uint64(m.From), true
+		if len(m.Items) > 0 {
+			return uint64(m.Items[0].Color), true
+		}
 	}
 	return 0, false
 }
@@ -445,16 +454,10 @@ func (s *Sequencer) handle(from types.NodeID, msg transport.Message) {
 		return
 	}
 	switch m := msg.(type) {
-	case proto.OrderReq:
-		s.onOrderReq(m)
 	case proto.OrderReqBatch:
-		s.onOrderReqBatch(from, m)
-	case proto.AggOrderReq:
-		s.onAggOrderReq(m)
+		s.onOrderReqBatch(m)
 	case proto.AggOrderReqBatch:
 		s.onAggOrderReqBatch(m)
-	case proto.AggOrderResp:
-		s.onAggOrderResp(m)
 	case proto.AggOrderRespBatch:
 		s.onAggOrderRespBatch(m)
 	case proto.SeqHeartbeat:
@@ -476,61 +479,21 @@ func (s *Sequencer) handle(from types.NodeID, msg transport.Message) {
 
 // ---- Order request path (lock-free) ----
 
-func (s *Sequencer) onOrderReq(req proto.OrderReq) {
-	se := s.servingEpoch()
-	if se == 0 {
-		s.c.droppedStale.Add(1)
-		return
-	}
-	s.c.directReqs.Add(1)
-	s.noteTenant(req.Color, uint64(req.NRecords))
-	st := s.tokenStripeFor(req.Token)
-	st.mu.Lock()
-	if e, ok := st.lookup(req.Token, se); ok {
-		st.mu.Unlock()
-		s.c.dupTokens.Add(1)
-		if e.assigned {
-			// Re-broadcast the cached response (a replica retried because
-			// it missed the original OResp).
-			s.ep.Broadcast(req.Replicas, proto.OrderResp{Token: req.Token, LastSN: e.lastSN, NRecords: req.NRecords, Color: req.Color})
-		}
-		// Else: still pending in a batch or in flight; the response will
-		// reach the shard when the owner answers.
-		return
-	}
-	if req.Color == s.cfg.Region {
-		// This node owns the region: assign immediately (Alg. 1 lines
-		// 32–35). The stripe lock is held across assign+remember so a
-		// racing duplicate can never burn a second range for the token.
-		last, ok := s.assignFast(req.NRecords)
-		if !ok {
-			st.mu.Unlock()
-			s.c.droppedStale.Add(1)
-			return
-		}
-		st.remember(req.Token, tokenEntry{epoch: types.Epoch(last.Epoch()), assigned: true, lastSN: last}, s.tokenCap)
-		st.mu.Unlock()
-		s.ep.Broadcast(req.Replicas, proto.OrderResp{Token: req.Token, LastSN: last, NRecords: req.NRecords, Color: req.Color})
-		return
-	}
-	// Not the owner: aggregate upward (Alg. 1 line 37, merged per §5.2).
-	st.remember(req.Token, tokenEntry{epoch: se}, s.tokenCap)
-	st.mu.Unlock()
-	r := req
-	s.enqueue(req.Color, member{req: &r, n: req.NRecords}, se)
-}
-
-// onOrderReqBatch handles a replica's coalesced order requests: all items
-// share one color and one shard, and — on the owner — are answered with a
-// single OrderRespBatch broadcast instead of one OrderResp per token. Dup
-// handling preserves the per-token semantics of onOrderReq: already-
-// assigned items are re-answered to the SENDER only (the original
-// assignment was already broadcast to the whole shard; a retrying replica
-// just missed it), items still pending in a batch get no reply (the
-// owner's answer will reach the shard), and fresh items are assigned or
-// aggregated upward as individual members so the existing AggOrderReq
-// machinery splits ranges exactly as before.
-func (s *Sequencer) onOrderReqBatch(from types.NodeID, m proto.OrderReqBatch) {
+// onOrderReqBatch handles a replica's order requests: all items share one
+// color and one shard, and — on the owner — are answered with a single
+// OrderRespBatch broadcast to the shard (Alg. 1 lines 32–35). Duplicate
+// tokens follow one rule: an already-assigned item's cached assignment is
+// re-broadcast to the shard with the fresh ones, and an item still pending
+// in a batch gets no reply (the owner's answer will reach the shard). The
+// re-broadcast is redundancy the shard relies on: every replica sends its
+// own request for a token, so a replica that missed the first broadcast
+// (and whose own request is late) still hears the assignment from a
+// peer's. One that hears nothing requests the token again after a
+// sequencer failover, and the new epoch, with no dedup memory, assigns a
+// second SN that its peers ignore. Fresh items on a non-owner are
+// aggregated upward as individual members (Alg. 1 line 37, merged per
+// §5.2) so the range split on the way down is per token.
+func (s *Sequencer) onOrderReqBatch(m proto.OrderReqBatch) {
 	se := s.servingEpoch()
 	if se == 0 {
 		s.c.droppedStale.Add(1)
@@ -544,8 +507,7 @@ func (s *Sequencer) onOrderReqBatch(from types.NodeID, m proto.OrderReqBatch) {
 	}
 	s.noteTenant(m.Color, nTotal)
 	owner := m.Color == s.cfg.Region
-	var fresh []proto.OrderRespItem // owner-path assignments → broadcast
-	var dups []proto.OrderRespItem  // already-assigned retries → sender only
+	var answers []proto.OrderRespItem // owner assignments and already-assigned retries
 	for _, it := range m.Items {
 		st := s.tokenStripeFor(it.Token)
 		st.mu.Lock()
@@ -553,7 +515,7 @@ func (s *Sequencer) onOrderReqBatch(from types.NodeID, m proto.OrderReqBatch) {
 			st.mu.Unlock()
 			s.c.dupTokens.Add(1)
 			if e.assigned {
-				dups = append(dups, proto.OrderRespItem{Token: it.Token, LastSN: e.lastSN, NRecords: it.NRecords})
+				answers = append(answers, proto.OrderRespItem{Token: it.Token, LastSN: e.lastSN, NRecords: it.NRecords})
 			}
 			continue
 		}
@@ -566,29 +528,20 @@ func (s *Sequencer) onOrderReqBatch(from types.NodeID, m proto.OrderReqBatch) {
 			}
 			st.remember(it.Token, tokenEntry{epoch: types.Epoch(last.Epoch()), assigned: true, lastSN: last}, s.tokenCap)
 			st.mu.Unlock()
-			fresh = append(fresh, proto.OrderRespItem{Token: it.Token, LastSN: last, NRecords: it.NRecords})
+			answers = append(answers, proto.OrderRespItem{Token: it.Token, LastSN: last, NRecords: it.NRecords})
 			continue
 		}
 		st.remember(it.Token, tokenEntry{epoch: se}, s.tokenCap)
 		st.mu.Unlock()
-		req := &proto.OrderReq{Color: m.Color, Token: it.Token, NRecords: it.NRecords, Shard: m.Shard, Replicas: m.Replicas}
+		req := &directReq{token: it.Token, shard: m.Shard, replicas: m.Replicas}
 		s.enqueue(m.Color, member{req: req, n: it.NRecords}, se)
 	}
-	if len(fresh) > 0 {
-		s.ep.Broadcast(m.Replicas, proto.OrderRespBatch{Color: m.Color, Items: fresh})
-	}
-	if len(dups) > 0 {
-		s.ep.Send(from, proto.OrderRespBatch{Color: m.Color, Items: dups})
+	if len(answers) > 0 {
+		s.ep.Broadcast(m.Replicas, proto.OrderRespBatch{Color: m.Color, Items: answers})
 	}
 }
 
-func (s *Sequencer) onAggOrderReq(m proto.AggOrderReq) {
-	if resp, ok := s.handleAggItem(m.From, m.Color, m.BatchID, m.Total); ok {
-		s.ep.Send(m.From, resp)
-	}
-}
-
-// onAggOrderReqBatch handles a child's combined upward rounds (several
+// onAggOrderReqBatch handles a child's upward rounds (one or several
 // colors flushed in one frame). Items this node can answer now — owner
 // assignments and dup resends — are returned in a single AggOrderRespBatch;
 // the rest are enqueued toward this node's own parent.
@@ -596,12 +549,8 @@ func (s *Sequencer) onAggOrderReqBatch(m proto.AggOrderReqBatch) {
 	var items []proto.AggOrderRespItem
 	for _, it := range m.Items {
 		if resp, ok := s.handleAggItem(m.From, it.Color, it.BatchID, it.Total); ok {
-			items = append(items, proto.AggOrderRespItem{Color: resp.Color, BatchID: resp.BatchID, LastSN: resp.LastSN})
+			items = append(items, resp)
 		}
-	}
-	if len(items) == 1 {
-		s.ep.Send(m.From, proto.AggOrderResp{BatchID: items[0].BatchID, LastSN: items[0].LastSN, Color: items[0].Color})
-		return
 	}
 	if len(items) > 0 {
 		s.ep.Send(m.From, proto.AggOrderRespBatch{From: s.cfg.ID, Items: items})
@@ -611,11 +560,11 @@ func (s *Sequencer) onAggOrderReqBatch(m proto.AggOrderReqBatch) {
 // handleAggItem processes one aggregated child request. ok=true returns
 // the response this node can give immediately (owner assignment or dedup
 // replay); ok=false means the item was enqueued upward or dropped.
-func (s *Sequencer) handleAggItem(from types.NodeID, color types.ColorID, batchID uint64, total uint32) (proto.AggOrderResp, bool) {
+func (s *Sequencer) handleAggItem(from types.NodeID, color types.ColorID, batchID uint64, total uint32) (proto.AggOrderRespItem, bool) {
 	se := s.servingEpoch()
 	if se == 0 {
 		s.c.droppedStale.Add(1)
-		return proto.AggOrderResp{}, false
+		return proto.AggOrderRespItem{}, false
 	}
 	s.c.childReqs.Add(1)
 	key := childKey{from: from, batchID: batchID}
@@ -624,7 +573,7 @@ func (s *Sequencer) handleAggItem(from types.NodeID, color types.ColorID, batchI
 	if last, ok := ag.m[key]; ok {
 		// Duplicate resend of a batch we already answered.
 		ag.mu.Unlock()
-		return proto.AggOrderResp{BatchID: batchID, LastSN: last, Color: color}, true
+		return proto.AggOrderRespItem{Color: color, BatchID: batchID, LastSN: last}, true
 	}
 	if color == s.cfg.Region {
 		// The stripe lock spans assign+record so a racing duplicate can
@@ -633,18 +582,26 @@ func (s *Sequencer) handleAggItem(from types.NodeID, color types.ColorID, batchI
 		if !ok {
 			ag.mu.Unlock()
 			s.c.droppedStale.Add(1)
-			return proto.AggOrderResp{}, false
+			return proto.AggOrderRespItem{}, false
 		}
 		ag.m[key] = last
 		ag.mu.Unlock()
-		return proto.AggOrderResp{BatchID: batchID, LastSN: last, Color: color}, true
+		return proto.AggOrderRespItem{Color: color, BatchID: batchID, LastSN: last}, true
 	}
 	ag.mu.Unlock()
 	s.enqueue(color, member{child: &childBatch{batchID: batchID, from: from}, n: total}, se)
-	return proto.AggOrderResp{}, false
+	return proto.AggOrderRespItem{}, false
 }
 
-func (s *Sequencer) onAggOrderResp(m proto.AggOrderResp) {
+// onAggOrderRespBatch unpacks a parent's answers.
+func (s *Sequencer) onAggOrderRespBatch(m proto.AggOrderRespBatch) {
+	for _, it := range m.Items {
+		s.onAggOrderResp(it)
+	}
+}
+
+// onAggOrderResp splits one answered round's range across its members.
+func (s *Sequencer) onAggOrderResp(m proto.AggOrderRespItem) {
 	v, ok := s.inflight.LoadAndDelete(m.BatchID)
 	if !ok {
 		return
@@ -656,11 +613,10 @@ func (s *Sequencer) onAggOrderResp(m proto.AggOrderResp) {
 	// to their respective origin").
 	running := m.LastSN - types.SN(inf.total)
 	// Direct members are grouped per replica set so the downward leg is
-	// batched too: one OrderRespBatch broadcast per shard in the window
-	// instead of one OrderResp broadcast per token. The grouping key is the
-	// destination set itself (not the shard id), so requests that leave the
-	// shard field unset — ordering-only drivers, older clients — still each
-	// reach their own requester.
+	// batched too: one OrderRespBatch broadcast per shard in the window.
+	// The grouping key is the destination set itself (not the shard id), so
+	// requests that leave the shard field unset — ordering-only drivers —
+	// still each reach their own requester.
 	type shardOut struct {
 		replicas []types.NodeID
 		items    []proto.OrderRespItem
@@ -670,40 +626,29 @@ func (s *Sequencer) onAggOrderResp(m proto.AggOrderResp) {
 	for _, mem := range inf.members {
 		running += types.SN(mem.n)
 		if mem.req != nil {
-			st := s.tokenStripeFor(mem.req.Token)
+			st := s.tokenStripeFor(mem.req.token)
 			st.mu.Lock()
-			if e, ok := st.m[mem.req.Token]; ok && e.epoch == inf.epoch && !e.assigned {
-				st.m[mem.req.Token] = tokenEntry{epoch: e.epoch, assigned: true, lastSN: running}
+			if e, ok := st.m[mem.req.token]; ok && e.epoch == inf.epoch && !e.assigned {
+				st.m[mem.req.token] = tokenEntry{epoch: e.epoch, assigned: true, lastSN: running}
 			}
 			st.mu.Unlock()
-			key := replicaSetKey(mem.req.Shard, mem.req.Replicas)
+			key := replicaSetKey(mem.req.shard, mem.req.replicas)
 			so := byGroup[key]
 			if so == nil {
-				so = &shardOut{replicas: mem.req.Replicas}
+				so = &shardOut{replicas: mem.req.replicas}
 				byGroup[key] = so
 				groupOrder = append(groupOrder, key)
 			}
-			so.items = append(so.items, proto.OrderRespItem{Token: mem.req.Token, LastSN: running, NRecords: mem.n})
+			so.items = append(so.items, proto.OrderRespItem{Token: mem.req.token, LastSN: running, NRecords: mem.n})
 		} else {
-			s.ep.Send(mem.child.from, proto.AggOrderResp{BatchID: mem.child.batchID, LastSN: running, Color: inf.color})
+			s.ep.Send(mem.child.from, proto.AggOrderRespBatch{From: s.cfg.ID, Items: []proto.AggOrderRespItem{
+				{Color: inf.color, BatchID: mem.child.batchID, LastSN: running},
+			}})
 		}
 	}
 	for _, key := range groupOrder {
 		so := byGroup[key]
-		if len(so.items) == 1 {
-			// Single member: keep the compact legacy frame.
-			it := so.items[0]
-			s.ep.Broadcast(so.replicas, proto.OrderResp{Token: it.Token, LastSN: it.LastSN, NRecords: it.NRecords, Color: inf.color})
-			continue
-		}
 		s.ep.Broadcast(so.replicas, proto.OrderRespBatch{Color: inf.color, Items: so.items})
-	}
-}
-
-// onAggOrderRespBatch unpacks a parent's combined answers.
-func (s *Sequencer) onAggOrderRespBatch(m proto.AggOrderRespBatch) {
-	for _, it := range m.Items {
-		s.onAggOrderResp(proto.AggOrderResp{BatchID: it.BatchID, LastSN: it.LastSN, Color: it.Color})
 	}
 }
 
@@ -778,8 +723,8 @@ func (s *Sequencer) flusherLoop() {
 }
 
 // flushPending drains every pending queue and sends the aggregated rounds
-// upward — one AggOrderReq per color, or, with PipelinedFlush, a single
-// AggOrderReqBatch combining all colors of the round. It never takes s.mu:
+// upward — one AggOrderReqBatch per color, or, with PipelinedFlush, a
+// single AggOrderReqBatch combining all colors of the round. It never takes s.mu:
 // staleness is decided per member by comparing its enqueue epoch against
 // the serving epoch, which also covers the not-leader case (serving epoch
 // 0 matches no member).
@@ -787,7 +732,6 @@ func (s *Sequencer) flushPending() {
 	s.c.flushRounds.Add(1)
 	se := s.servingEpoch()
 	parent, hasParent := s.parentLeader()
-	var singles []proto.AggOrderReq
 	var items []proto.AggOrderItem
 	for _, q := range s.pendingQueues() {
 		var members []member
@@ -823,23 +767,15 @@ func (s *Sequencer) flushPending() {
 		}
 		s.inflight.Store(id, inf)
 		s.c.batchesSent.Add(1)
-		if s.cfg.PipelinedFlush {
-			items = append(items, proto.AggOrderItem{Color: q.color, BatchID: id, Total: total})
-		} else {
-			singles = append(singles, proto.AggOrderReq{Color: q.color, BatchID: id, Total: total, From: s.cfg.ID})
+		it := proto.AggOrderItem{Color: q.color, BatchID: id, Total: total}
+		if !s.cfg.PipelinedFlush {
+			s.ep.Send(parent, proto.AggOrderReqBatch{From: s.cfg.ID, Items: []proto.AggOrderItem{it}})
+			continue
 		}
+		items = append(items, it)
 	}
-	switch len(items) {
-	case 0:
-	case 1:
-		// A single color's round keeps the compact legacy frame.
-		it := items[0]
-		s.ep.Send(parent, proto.AggOrderReq{Color: it.Color, BatchID: it.BatchID, Total: it.Total, From: s.cfg.ID})
-	default:
+	if len(items) > 0 {
 		s.ep.Send(parent, proto.AggOrderReqBatch{From: s.cfg.ID, Items: items})
-	}
-	for _, r := range singles {
-		s.ep.Send(parent, r)
 	}
 }
 

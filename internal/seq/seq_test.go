@@ -11,13 +11,20 @@ import (
 	"flexlog/internal/types"
 )
 
+// orderResp is one assignment a fake replica received: an item of an
+// OrderRespBatch with the batch's color.
+type orderResp struct {
+	proto.OrderRespItem
+	Color types.ColorID
+}
+
 // fakeReplica records order responses and auto-acks SeqInit messages.
 type fakeReplica struct {
 	id types.NodeID
 	ep transport.Endpoint
 
 	mu    sync.Mutex
-	resps []proto.OrderResp
+	resps []orderResp
 	inits []proto.SeqInit
 }
 
@@ -26,14 +33,10 @@ func newFakeReplica(t *testing.T, net *transport.Network, id types.NodeID) *fake
 	r := &fakeReplica{id: id}
 	ep, err := net.Register(id, func(from types.NodeID, msg transport.Message) {
 		switch m := msg.(type) {
-		case proto.OrderResp:
-			r.mu.Lock()
-			r.resps = append(r.resps, m)
-			r.mu.Unlock()
 		case proto.OrderRespBatch:
 			r.mu.Lock()
 			for _, it := range m.Items {
-				r.resps = append(r.resps, proto.OrderResp{Token: it.Token, LastSN: it.LastSN, NRecords: it.NRecords, Color: m.Color})
+				r.resps = append(r.resps, orderResp{OrderRespItem: it, Color: m.Color})
 			}
 			r.mu.Unlock()
 		case proto.SeqInit:
@@ -50,10 +53,10 @@ func newFakeReplica(t *testing.T, net *transport.Network, id types.NodeID) *fake
 	return r
 }
 
-func (r *fakeReplica) responses() []proto.OrderResp {
+func (r *fakeReplica) responses() []orderResp {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]proto.OrderResp(nil), r.resps...)
+	return append([]orderResp(nil), r.resps...)
 }
 
 func waitUntil(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
@@ -105,13 +108,13 @@ func singleRoot(t *testing.T) (*transport.Network, *Sequencer, []*fakeReplica) {
 	return net, s, reps
 }
 
-func orderReq(tokenCtr uint32, color types.ColorID, n uint32) proto.OrderReq {
-	return proto.OrderReq{
+// orderReq is a lone order request from shard 1, as a batch of one.
+func orderReq(tokenCtr uint32, color types.ColorID, n uint32) proto.OrderReqBatch {
+	return proto.OrderReqBatch{
 		Color:    color,
-		Token:    types.MakeToken(9, tokenCtr),
-		NRecords: n,
 		Shard:    1,
 		Replicas: []types.NodeID{1, 2, 3},
+		Items:    []proto.OrderReq{{Token: types.MakeToken(9, tokenCtr), NRecords: n}},
 	}
 }
 

@@ -39,23 +39,25 @@ type stressDriver struct {
 	id    types.NodeID
 	ep    transport.Endpoint
 	mu    sync.Mutex
-	waits map[types.Token]chan proto.OrderResp
+	waits map[types.Token]chan proto.OrderRespItem
 }
 
 func newStressDriver(t *testing.T, net *transport.Network, id types.NodeID) *stressDriver {
 	t.Helper()
-	d := &stressDriver{id: id, waits: make(map[types.Token]chan proto.OrderResp)}
+	d := &stressDriver{id: id, waits: make(map[types.Token]chan proto.OrderRespItem)}
 	ep, err := net.Register(id, func(from types.NodeID, msg transport.Message) {
-		resp, ok := msg.(proto.OrderResp)
+		m, ok := msg.(proto.OrderRespBatch)
 		if !ok {
 			return
 		}
-		d.mu.Lock()
-		ch := d.waits[resp.Token]
-		delete(d.waits, resp.Token)
-		d.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		for _, resp := range m.Items {
+			d.mu.Lock()
+			ch := d.waits[resp.Token]
+			delete(d.waits, resp.Token)
+			d.mu.Unlock()
+			if ch != nil {
+				ch <- resp
+			}
 		}
 	})
 	if err != nil {
@@ -65,15 +67,15 @@ func newStressDriver(t *testing.T, net *transport.Network, id types.NodeID) *str
 	return d
 }
 
-// request sends one OrderReq for token and waits for the response.
-func (d *stressDriver) request(target types.NodeID, color types.ColorID, token types.Token, n uint32, timeout time.Duration) (proto.OrderResp, error) {
-	ch := make(chan proto.OrderResp, 1)
+// request sends one order request for token and waits for the response.
+func (d *stressDriver) request(target types.NodeID, color types.ColorID, token types.Token, n uint32, timeout time.Duration) (proto.OrderRespItem, error) {
+	ch := make(chan proto.OrderRespItem, 1)
 	d.mu.Lock()
 	d.waits[token] = ch
 	d.mu.Unlock()
-	req := proto.OrderReq{Color: color, Token: token, NRecords: n, Replicas: []types.NodeID{d.id}}
+	req := proto.OrderReqBatch{Color: color, Replicas: []types.NodeID{d.id}, Items: []proto.OrderReq{{Token: token, NRecords: n}}}
 	if err := d.ep.Send(target, req); err != nil {
-		return proto.OrderResp{}, err
+		return proto.OrderRespItem{}, err
 	}
 	select {
 	case resp := <-ch:
@@ -82,7 +84,7 @@ func (d *stressDriver) request(target types.NodeID, color types.ColorID, token t
 		d.mu.Lock()
 		delete(d.waits, token)
 		d.mu.Unlock()
-		return proto.OrderResp{}, fmt.Errorf("order request %v timed out", token)
+		return proto.OrderRespItem{}, fmt.Errorf("order request %v timed out", token)
 	}
 }
 
@@ -152,7 +154,7 @@ func TestConcurrentOrderingStress(t *testing.T) {
 
 	type result struct {
 		color types.ColorID
-		resp  proto.OrderResp
+		resp  proto.OrderRespItem
 		seq   int // per-stream send order
 	}
 	var resMu sync.Mutex
@@ -189,7 +191,7 @@ func TestConcurrentOrderingStress(t *testing.T) {
 					// Every attempt reaches the sequencer (in-process
 					// delivery is reliable), so every attempt is counted
 					// toward the tenant-accounting expectation.
-					var dup proto.OrderResp
+					var dup proto.OrderRespItem
 					var derr error
 					for attempt := 0; attempt < 3; attempt++ {
 						resMu.Lock()
@@ -284,13 +286,13 @@ func TestEpochBumpDuringFlood(t *testing.T) {
 	defer s.Stop()
 
 	// The collector is the "replica" every request names: it records each
-	// OrderResp broadcast to it.
+	// assignment broadcast to it.
 	var respMu sync.Mutex
-	var resps []proto.OrderResp
+	var resps []proto.OrderRespItem
 	if _, err := net.Register(100, func(from types.NodeID, msg transport.Message) {
-		if resp, ok := msg.(proto.OrderResp); ok {
+		if m, ok := msg.(proto.OrderRespBatch); ok {
 			respMu.Lock()
-			resps = append(resps, resp)
+			resps = append(resps, m.Items...)
 			respMu.Unlock()
 		}
 	}); err != nil {
@@ -318,11 +320,10 @@ func TestEpochBumpDuringFlood(t *testing.T) {
 			defer floodWG.Done()
 			fid := uint32(200 + i)
 			for c := 0; c < perSender; c++ {
-				req := proto.OrderReq{
+				req := proto.OrderReqBatch{
 					Color:    0,
-					Token:    types.MakeToken(fid, uint32(c+1)),
-					NRecords: uint32(c%3 + 1),
 					Replicas: []types.NodeID{100},
+					Items:    []proto.OrderReq{{Token: types.MakeToken(fid, uint32(c+1)), NRecords: uint32(c%3 + 1)}},
 				}
 				_ = ep.Send(9000, req)
 			}

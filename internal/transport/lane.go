@@ -449,7 +449,7 @@ func WithReadLane(h Handler, cfg LaneConfig) (wrapped Handler, stats func() Lane
 // channel and a key is pinned to one worker (key mod Workers), so every
 // message of one key is processed in arrival order — the invariant the
 // append protocol needs (an AppendReq must reach storage before the
-// OrderResp that commits its token, and both carry the same color) —
+// order response that commits its token, and both carry the same color) —
 // while different keys proceed in parallel.
 type WriteLaneConfig struct {
 	// Workers is the pool size; 0 disables the lane.

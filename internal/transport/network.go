@@ -21,31 +21,20 @@ import (
 // reports, and it is what makes message-heavy protocols (Paxos' quorum
 // rounds) pay relative to FlexLog's counter bump (Fig. 4 right).
 type LinkModel struct {
-	Delay     time.Duration // one-way propagation delay (pipelined)
-	PerKB     time.Duration // serialization cost per KiB of payload size
-	ProcCost  time.Duration // serial receive-side processing per message
-	SizeOfMsg func(Message) int
+	Delay    time.Duration // one-way propagation delay (pipelined)
+	ProcCost time.Duration // serial receive-side processing per message
 }
 
 // DatacenterLink returns the calibrated 10 Gbps fabric model.
 func DatacenterLink() LinkModel {
 	return LinkModel{
 		Delay:    55 * time.Microsecond,
-		PerKB:    800 * time.Nanosecond, // ~10 Gbps wire rate
 		ProcCost: 800 * time.Nanosecond, // ≈1.2M msgs/s node capacity
 	}
 }
 
 // ZeroLink is the latency-free model used by unit tests.
 func ZeroLink() LinkModel { return LinkModel{} }
-
-func (m LinkModel) delayFor(msg Message) time.Duration {
-	d := m.Delay
-	if m.PerKB > 0 && m.SizeOfMsg != nil {
-		d += m.PerKB * time.Duration(m.SizeOfMsg(msg)) / 1024
-	}
-	return d
-}
 
 // envelope is one in-flight message.
 type envelope struct {
@@ -343,7 +332,7 @@ func (e *inprocEndpoint) Send(to types.NodeID, msg Message) error {
 	env := envelope{from: e.id, msg: msg}
 	var delay time.Duration
 	if simclock.Enabled() {
-		delay = n.model.delayFor(msg)
+		delay = n.model.Delay
 	}
 	delay += fd.jitter // jitter applies even without the latency model
 	if delay > 0 {

@@ -217,19 +217,6 @@ func TestDelayIsPipelined(t *testing.T) {
 	if el > 50*time.Millisecond {
 		t.Fatalf("burst of %d took %v: delays are not pipelined", count, el)
 	}
-}
-
-func TestPerKBSerializationCost(t *testing.T) {
-	m := LinkModel{
-		Delay:     time.Millisecond,
-		PerKB:     time.Millisecond,
-		SizeOfMsg: func(msg Message) int { return len(msg.(string)) },
-	}
-	small := m.delayFor("x")
-	large := m.delayFor(string(make([]byte, 4096)))
-	if large <= small {
-		t.Fatalf("large message should cost more: %v vs %v", large, small)
-	}
 	if DatacenterLink().Delay <= 0 {
 		t.Fatal("datacenter link must have positive delay")
 	}

@@ -197,7 +197,7 @@ func TestTCPCodecRoundTrip(t *testing.T) {
 	sent := []Message{
 		proto.AppendReq{Color: 3, Token: types.MakeToken(7, 9), Records: [][]byte{[]byte("alpha"), nil, []byte("beta")}, Client: 1},
 		proto.ReadResp{ID: 42, SN: types.MakeSN(1, 5), Data: []byte("payload"), Found: true},
-		proto.OrderResp{Token: 11, LastSN: types.MakeSN(2, 8), NRecords: 4, Color: 3},
+		proto.OrderRespBatch{Color: 3, Items: []proto.OrderRespItem{{Token: 11, LastSN: types.MakeSN(2, 8), NRecords: 4}}},
 		proto.SyncState{ID: 1, Epoch: 2, MaxSNs: map[types.ColorID]types.SN{0: 5, 9: 7}, From: 1},
 	}
 	for _, m := range sent {
@@ -216,9 +216,9 @@ func TestTCPCodecRoundTrip(t *testing.T) {
 	if rr.ID != 42 || !rr.Found || string(rr.Data) != "payload" {
 		t.Fatalf("ReadResp = %+v", rr)
 	}
-	or := got[2].(proto.OrderResp)
-	if or.NRecords != 4 || or.LastSN != types.MakeSN(2, 8) {
-		t.Fatalf("OrderResp = %+v", or)
+	or := got[2].(proto.OrderRespBatch)
+	if or.Color != 3 || len(or.Items) != 1 || or.Items[0].NRecords != 4 || or.Items[0].LastSN != types.MakeSN(2, 8) {
+		t.Fatalf("OrderRespBatch = %+v", or)
 	}
 	ss := got[3].(proto.SyncState)
 	if ss.MaxSNs[9] != 7 || ss.Epoch != 2 {
@@ -250,7 +250,7 @@ func TestTCPBroadcastEncodesOnce(t *testing.T) {
 	}
 	defer a.Close()
 
-	msg := proto.OrderResp{Token: 1, LastSN: types.MakeSN(1, 1), NRecords: 1}
+	msg := proto.OrderRespBatch{Items: []proto.OrderRespItem{{Token: 1, LastSN: types.MakeSN(1, 1), NRecords: 1}}}
 	if err := a.Broadcast([]types.NodeID{2, 3, 4}, msg); err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func BenchmarkTCPBroadcast(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer a.Close()
-	msg := proto.OrderResp{Token: 1, LastSN: types.MakeSN(1, 1), NRecords: 1}
+	msg := proto.OrderRespBatch{Items: []proto.OrderRespItem{{Token: 1, LastSN: types.MakeSN(1, 1), NRecords: 1}}}
 	tos := []types.NodeID{2, 3, 4}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -7,8 +7,9 @@
 //   - an in-process network with a configurable delay model, partitions and
 //     crash-style fault injection, used by the cluster harness, the tests
 //     and the benchmarks (the paper's 10 Gbps RTT is injected here);
-//   - a TCP transport (gob-framed) for real multi-process deployments via
-//     cmd/flexlog-server.
+//   - a TCP transport (package proto's binary frame codec; encoding/gob as
+//     the fallback and the -codec=gob baseline) for real multi-process
+//     deployments via cmd/flexlog-server.
 //
 // Per the paper, links are reliable and FIFO (TCP in practice); message
 // loss only occurs under injected partitions or node crashes, which the
@@ -21,8 +22,10 @@ import (
 	"flexlog/internal/types"
 )
 
-// Message is any protocol payload. For the TCP transport, concrete types
-// must be registered with encoding/gob (see package proto).
+// Message is any protocol payload. The TCP transport frames the types of
+// package proto with the binary codec; any other concrete type (and every
+// type on a -codec=gob connection) travels as gob and must be registered
+// with encoding/gob on both ends.
 type Message any
 
 // Handler processes one inbound message. Handlers of a given endpoint are
