@@ -114,8 +114,9 @@ perfbench-check:
 # wire tags and config fields): non-test Go lines of the root module
 # (perfbench/ is its own module and excluded), the wire type tags in
 # internal/proto/wire.go (tag 255 included), and the fields of every
-# *Config struct in the replica, seq and core packages.
+# *Config struct in the replica, seq, core, transport and storage packages
+# (transport and storage hold the lane and store options).
 size:
 	@echo "go_lines      $$(find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l)"
 	@echo "wire_tags     $$(grep -cE '^[[:space:]]+Tag[A-Za-z]+[[:space:]]+byte = [0-9]+' internal/proto/wire.go)"
-	@echo "config_fields $$(awk '/^type [A-Za-z]*Config struct \{/ { f = 1; next } f && /^\}/ { f = 0 } f { sub(/\/\/.*/, ""); if (NF == 0) next; n++; for (i = 1; i < NF; i++) if ($$i ~ /,$$/) n++ } END { print n }' $$(ls internal/replica/*.go internal/seq/*.go internal/core/*.go | grep -v '_test\.go$$'))"
+	@echo "config_fields $$(awk '/^type [A-Za-z]*Config struct \{/ { f = 1; next } f && /^\}/ { f = 0 } f { sub(/\/\/.*/, ""); if (NF == 0) next; n++; for (i = 1; i < NF; i++) if ($$i ~ /,$$/) n++ } END { print n }' $$(ls internal/replica/*.go internal/seq/*.go internal/core/*.go internal/transport/*.go internal/storage/*.go | grep -v '_test\.go$$'))"

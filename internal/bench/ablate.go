@@ -138,7 +138,7 @@ func runAblateCache(cfg RunConfig) (*Report, error) {
 		if cache == 0 {
 			label = "off"
 		}
-		st, err := storage.New(storage.Config{
+		st, err := storage.Open(storage.Config{
 			SegmentSize: 4 << 20, NumSegments: 16, CacheBytes: cache,
 			PMModel: pmem.OptaneBypass(), SSDModel: ssd.NVMe(),
 		})

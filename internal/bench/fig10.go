@@ -42,7 +42,7 @@ func runFig10(cfg RunConfig) (*Report, error) {
 			entry := int(uint64(recordBytes) + 48)
 			segSize := uint64(8 << 20)
 			numSegs := (n*entry)/int(segSize-32) + 2
-			st, err := storage.New(storage.Config{
+			st, err := storage.Open(storage.Config{
 				SegmentSize: segSize,
 				NumSegments: numSegs,
 				CacheBytes:  0, // recovery reads PM, not the cache

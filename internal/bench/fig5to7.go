@@ -80,7 +80,7 @@ func newFlexStorage(recordBytes int) (*flexStorage, error) {
 		PMModel:     pmem.OptaneBypass(),
 		SSDModel:    ssd.NVMe(),
 	}
-	st, err := storage.New(cfg)
+	st, err := storage.Open(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"flexlog/internal/metrics"
 	"flexlog/internal/pmem"
 	"flexlog/internal/ssd"
+	"flexlog/internal/transport"
 	"flexlog/internal/types"
 	"flexlog/internal/workload"
 )
@@ -244,12 +245,27 @@ type readPathBaseline struct {
 
 func snapshotReadPath(cl *core.Cluster) readPathBaseline {
 	rd, wr := replicaDeviceSplit(cl)
+	readMsgs, _ := laneDelivered(cl.Network())
 	return readPathBaseline{
 		msgs:     cl.Network().NodeDelivered(),
-		readMsgs: cl.Network().NodeReadDelivered(),
+		readMsgs: readMsgs,
 		readDev:  rd,
 		writeDev: wr,
 	}
+}
+
+// laneDelivered returns each node's count of messages delivered via its
+// read lane and via its write lane: accepted plus shed, a subset of
+// NodeDelivered. Nodes without a lane report 0 for it.
+func laneDelivered(net *transport.Network) (read, write map[types.NodeID]uint64) {
+	read = make(map[types.NodeID]uint64)
+	write = make(map[types.NodeID]uint64)
+	for id := range net.NodeDelivered() {
+		rs, ws := net.LaneStats(id)
+		read[id] = rs.Enqueued + rs.Shed
+		write[id] = ws.Enqueued + ws.Shed
+	}
+	return read, write
 }
 
 // replicaDeviceSplit returns per-replica modeled device time split into
@@ -280,7 +296,7 @@ func replicaDeviceSplit(cl *core.Cluster) (readDev, writeDev map[types.NodeID]ti
 func readPathBusiestTime(cl *core.Cluster, base readPathBaseline, laneWorkers int) time.Duration {
 	proc := cl.Network().Model().ProcCost
 	msgs := cl.Network().NodeDelivered()
-	readMsgs := cl.Network().NodeReadDelivered()
+	readMsgs, _ := laneDelivered(cl.Network())
 	readDev, writeDev := replicaDeviceSplit(cl)
 	var busiest time.Duration
 	for id, n := range msgs {
@@ -325,13 +341,10 @@ func readPathThroughput(mix, readers, opsPerReader int, laneOn bool) (float64, s
 		var busy time.Duration
 		for _, sh := range cl.Topology().ShardsInRegion(types.MasterColor) {
 			for _, id := range sh.Replicas {
-				if ls, ok := cl.Network().LaneStats(id); ok {
-					enq += ls.Enqueued
-					busy += ls.Busy
-					if ls.MaxDepth > maxDepth {
-						maxDepth = ls.MaxDepth
-					}
-				}
+				ls, _ := cl.Network().LaneStats(id)
+				enq += ls.Enqueued
+				busy += ls.Busy
+				maxDepth = max(maxDepth, ls.MaxDepth)
 				if r := cl.Replica(id); r != nil {
 					wakeups += r.Stats().HeldWakeups
 				}

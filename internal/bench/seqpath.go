@@ -15,22 +15,21 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "ablate-seq",
-		Title: "Ablation: lock-free sequencer hot path (order lanes + pipelined flush)",
+		Title: "Ablation: lock-free sequencer hot path (order lanes)",
 		Run:   runAblateSeq,
 	})
 }
 
-// seqPathModes are the ablation steps, cumulative left to right.
+// seqPathModes are the ablation steps. Both run the one flusher, which
+// overlaps a color's upward rounds and packs every color of a pass into
+// one AggOrderReqBatch frame to the parent.
 //
-//   - serial: OrderWorkers=0, PipelinedFlush=false — every order message
-//     runs on the sequencer's single delivery loop and the flusher sends
-//     one upward frame per color, the pre-lock-free behavior.
-//   - +lanes: the keyed order lane delivers different colors on different
+//   - serial: OrderWorkers=0 — every order message runs on the
+//     sequencer's single delivery loop.
+//   - lanes:  the keyed order lane delivers different colors on different
 //     workers (one color stays FIFO on one worker), so the atomic SN word
 //     and the striped dedup/pending structures actually run concurrently.
-//   - full:   the flusher additionally pipelines upward rounds and packs
-//     multiple colors into one AggOrderReqBatch frame to the parent.
-var seqPathModes = []string{"serial", "+lanes", "full"}
+var seqPathModes = []string{"serial", "lanes"}
 
 // seqPathWorkers sizes the order lane in the lane-on modes.
 const seqPathWorkers = 16
@@ -46,8 +45,8 @@ const seqPathWorkers = 16
 // per sequencer node, unlaned messages are serial while laned messages
 // charge the busiest lane worker (colors pin to workers, so the busiest
 // worker bounds the lane). Latency is a separate injected run with one
-// closed-loop driver on the paper's 3-sequencer chain, where neither the
-// lane nor pipelining can help; the bar is that they also do not hurt.
+// closed-loop driver on the paper's 3-sequencer chain, where the lane
+// cannot help; the bar is that it also does not hurt.
 func runAblateSeq(cfg RunConfig) (*Report, error) {
 	colorCounts := []int{4, 16, 64}
 	opsPerDriver := 300
@@ -75,7 +74,7 @@ func runAblateSeq(cfg RunConfig) (*Report, error) {
 				return nil, err
 			}
 			series[mode].Add(label, ops/1e3)
-			if mode == "full" && colors == colorCounts[len(colorCounts)-1] {
+			if mode == "lanes" && colors == colorCounts[len(colorCounts)-1] {
 				statNote = note
 			}
 		}
@@ -84,12 +83,12 @@ func runAblateSeq(cfg RunConfig) (*Report, error) {
 		notes = append(notes, statNote)
 	}
 
-	// Single-driver injected latency on the 3-node chain: serial vs full.
-	// The lane dispatch and the flush pipeline must stay in the noise for
-	// one closed-loop requester.
+	// Single-driver injected latency on the 3-node chain: serial vs lanes.
+	// The lane dispatch must stay in the noise for one closed-loop
+	// requester.
 	latSerial := metrics.NewSeries("1-driver lat serial", "usec")
-	latFull := metrics.NewSeries("1-driver lat full", "usec")
-	for _, mode := range []string{"serial", "full"} {
+	latLanes := metrics.NewSeries("1-driver lat lanes", "usec")
+	for _, mode := range seqPathModes {
 		var lat time.Duration
 		err := withLatencyInjection(func() error {
 			var err error
@@ -100,35 +99,33 @@ func runAblateSeq(cfg RunConfig) (*Report, error) {
 			return nil, err
 		}
 		s := latSerial
-		if mode == "full" {
-			s = latFull
+		if mode == "lanes" {
+			s = latLanes
 		}
 		s.Add("1", float64(lat)/1e3)
 	}
 
 	return &Report{
 		ID:      "ablate-seq",
-		Title:   "sequencer hot-path ablation: order lanes unserialize concurrent colors, pipelined flush overlaps and packs upward rounds",
+		Title:   "sequencer hot-path ablation: order lanes unserialize concurrent colors",
 		XHeader: "concurrent colors",
 		Series: []*metrics.Series{
-			series["serial"], series["+lanes"], series["full"],
-			latSerial, latFull,
+			series["serial"], series["lanes"],
+			latSerial, latLanes,
 		},
 		Notes: notes,
 	}, nil
 }
 
-// seqPathConfig resolves one ablation mode into the seq knobs.
-func seqPathConfig(mode string) (workers int, pipelined bool, err error) {
+// seqPathWorkersFor resolves one ablation mode into OrderWorkers.
+func seqPathWorkersFor(mode string) (int, error) {
 	switch mode {
 	case "serial":
-		return 0, false, nil
-	case "+lanes":
-		return seqPathWorkers, false, nil
-	case "full":
-		return seqPathWorkers, true, nil
+		return 0, nil
+	case "lanes":
+		return seqPathWorkers, nil
 	default:
-		return 0, false, fmt.Errorf("seqpath: unknown mode %q", mode)
+		return 0, fmt.Errorf("seqpath: unknown mode %q", mode)
 	}
 }
 
@@ -136,7 +133,7 @@ func seqPathConfig(mode string) (workers int, pipelined bool, err error) {
 // color 1 ← … ← color N. The deepest node (owning color N) is the entry
 // leaf; every other color's owner is one of its ancestors, so a request
 // for color c entering at the leaf climbs N-c aggregation stages.
-func buildSeqChain(net *transport.Network, colors, workers int, pipelined bool) (leafID types.NodeID, seqs []*seq.Sequencer, stop func(), err error) {
+func buildSeqChain(net *transport.Network, colors, workers int) (leafID types.NodeID, seqs []*seq.Sequencer, stop func(), err error) {
 	topo := topology.New()
 	for c := 0; c <= colors; c++ {
 		parent := types.ColorID(0)
@@ -150,7 +147,6 @@ func buildSeqChain(net *transport.Network, colors, workers int, pipelined bool) 
 	for c := 0; c <= colors; c++ {
 		scfg := benchSeqConfig(types.NodeID(9000+10*c), types.ColorID(c), topo, throughputBatchWindow)
 		scfg.OrderWorkers = workers
-		scfg.PipelinedFlush = pipelined
 		s, err := seq.New(scfg, net)
 		if err != nil {
 			for _, prev := range seqs {
@@ -178,15 +174,15 @@ type seqPathBaseline struct {
 }
 
 func snapshotSeqPath(net *transport.Network) seqPathBaseline {
+	_, writeMsgs := laneDelivered(net)
 	base := seqPathBaseline{
 		msgs:      net.NodeDelivered(),
-		writeMsgs: net.NodeWriteDelivered(),
+		writeMsgs: writeMsgs,
 		perWorker: make(map[types.NodeID][]uint64),
 	}
 	for id := range base.msgs {
-		if ws, ok := net.WriteLaneStats(id); ok {
-			base.perWorker[id] = ws.PerWorker
-		}
+		_, ws := net.LaneStats(id)
+		base.perWorker[id] = ws.PerWorker
 	}
 	return base
 }
@@ -198,7 +194,7 @@ func snapshotSeqPath(net *transport.Network) seqPathBaseline {
 func seqBusiestTime(net *transport.Network, base seqPathBaseline) time.Duration {
 	proc := net.Model().ProcCost
 	msgs := net.NodeDelivered()
-	writeMsgs := net.NodeWriteDelivered()
+	_, writeMsgs := laneDelivered(net)
 	var busiest time.Duration
 	for id, n := range msgs {
 		if id < 9000 {
@@ -207,21 +203,16 @@ func seqBusiestTime(net *transport.Network, base seqPathBaseline) time.Duration 
 		laned := writeMsgs[id] - base.writeMsgs[id]
 		serial := (n - base.msgs[id]) - laned
 		busy := time.Duration(serial) * proc
-		if ws, ok := net.WriteLaneStats(id); ok {
-			var maxWorker uint64
-			for i, c := range ws.PerWorker {
-				var b uint64
-				if bw := base.perWorker[id]; i < len(bw) {
-					b = bw[i]
-				}
-				if d := c - b; d > maxWorker {
-					maxWorker = d
-				}
+		_, ws := net.LaneStats(id)
+		var maxWorker uint64
+		for i, c := range ws.PerWorker {
+			var b uint64
+			if bw := base.perWorker[id]; i < len(bw) {
+				b = bw[i]
 			}
-			busy += time.Duration(maxWorker) * proc
-		} else {
-			busy += time.Duration(laned) * proc
+			maxWorker = max(maxWorker, c-b)
 		}
+		busy += time.Duration(maxWorker) * proc
 		if busy > busiest {
 			busiest = busy
 		}
@@ -232,12 +223,12 @@ func seqBusiestTime(net *transport.Network, base seqPathBaseline) time.Duration 
 // seqPathThroughput runs one functional point: `colors` closed-loop
 // drivers, each pinned to its own color, all hammering the entry leaf.
 func seqPathThroughput(mode string, colors, opsPerDriver int) (float64, string, error) {
-	workers, pipelined, err := seqPathConfig(mode)
+	workers, err := seqPathWorkersFor(mode)
 	if err != nil {
 		return 0, "", err
 	}
 	net := transport.NewNetwork(transport.DatacenterLink())
-	leafID, seqs, stop, err := buildSeqChain(net, colors, workers, pipelined)
+	leafID, seqs, stop, err := buildSeqChain(net, colors, workers)
 	if err != nil {
 		return 0, "", err
 	}
@@ -295,9 +286,9 @@ func seqPathThroughput(mode string, colors, opsPerDriver int) (float64, string, 
 	}
 
 	note := ""
-	if mode == "full" {
+	if mode == "lanes" {
 		st := seqs[len(seqs)-1].Stats() // the entry leaf
-		note = fmt.Sprintf("leaf flusher at %d colors (full): %d flush rounds (%d urgent) carried %d upward batches, %d pipelined on top of an unanswered round",
+		note = fmt.Sprintf("leaf flusher at %d colors (lanes): %d flush rounds (%d urgent) carried %d upward batches, %d pipelined on top of an unanswered round",
 			colors, st.FlushRounds, st.UrgentFlushes, st.BatchesSent, st.PipelinedBatches)
 	}
 	return float64(colors*opsPerDriver) / busiest.Seconds(), note, nil
@@ -308,12 +299,12 @@ func seqPathThroughput(mode string, colors, opsPerDriver int) (float64, string, 
 // The driver asks for master-color SNs at the leaf — the full two-stage
 // climb, so every mechanism under test sits on its critical path.
 func seqPathLatency(mode string, ops int) (time.Duration, error) {
-	workers, pipelined, err := seqPathConfig(mode)
+	workers, err := seqPathWorkersFor(mode)
 	if err != nil {
 		return 0, err
 	}
 	net := transport.NewNetwork(transport.DatacenterLink())
-	leafID, _, stop, err := buildSeqChain(net, 2, workers, pipelined)
+	leafID, _, stop, err := buildSeqChain(net, 2, workers)
 	if err != nil {
 		return 0, err
 	}

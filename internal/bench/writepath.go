@@ -254,9 +254,10 @@ type writePathBaseline struct {
 
 func snapshotWritePath(cl *core.Cluster) writePathBaseline {
 	rd, wr := replicaDeviceSplit(cl)
+	_, writeMsgs := laneDelivered(cl.Network())
 	return writePathBaseline{
 		msgs:      cl.Network().NodeDelivered(),
-		writeMsgs: cl.Network().NodeWriteDelivered(),
+		writeMsgs: writeMsgs,
 		readDev:   rd,
 		writeDev:  wr,
 	}
@@ -271,7 +272,7 @@ func snapshotWritePath(cl *core.Cluster) writePathBaseline {
 func writePathBusiestTime(cl *core.Cluster, base writePathBaseline, laneWorkers int) time.Duration {
 	proc := cl.Network().Model().ProcCost
 	msgs := cl.Network().NodeDelivered()
-	writeMsgs := cl.Network().NodeWriteDelivered()
+	_, writeMsgs := laneDelivered(cl.Network())
 	readDev, writeDev := replicaDeviceSplit(cl)
 	var busiest time.Duration
 	for id, n := range msgs {
@@ -339,13 +340,10 @@ func writePathThroughput(mode string, writers, opsPerWriter int) (float64, write
 		var gcWindows, gcOps uint64
 		for _, sh := range cl.Topology().ShardsInRegion(types.MasterColor) {
 			for _, id := range sh.Replicas {
-				if ws, ok := cl.Network().WriteLaneStats(id); ok {
-					enq += ws.Enqueued
-					busy += ws.Busy
-					if ws.MaxDepth > maxDepth {
-						maxDepth = ws.MaxDepth
-					}
-				}
+				_, ws := cl.Network().LaneStats(id)
+				enq += ws.Enqueued
+				busy += ws.Busy
+				maxDepth = max(maxDepth, ws.MaxDepth)
 				if r := cl.Replica(id); r != nil {
 					gs := r.Store().Stats().GC
 					gcWindows += gs.Windows

@@ -81,7 +81,7 @@ type ClusterConfig struct {
 	// Tenants declares the deployment's multi-tenant QoS envelopes: per-
 	// tenant weighted-fair lane shares, token-bucket admission rates, and
 	// color ownership for ordering-layer accounting (DESIGN.md §13). Empty
-	// runs without QoS — legacy blocking lanes, no admission control.
+	// runs without QoS — a full lane queue blocks, no admission control.
 	Tenants []qos.TenantConfig
 }
 
@@ -511,38 +511,18 @@ func (cl *Cluster) Tracers() []*obs.Tracer {
 }
 
 // LaneSnapshots reports every replica's transport lane state for
-// /debug/lanes: the read lane and the keyed write lane per node. The
-// write-lane Drops column carries the replica's append drops (persistence
-// failures), the closest thing a lane has to a loss counter.
+// /debug/lanes (Replica.LaneSnapshots), in node-id order.
 func (cl *Cluster) LaneSnapshots() []obs.LaneSnapshot {
 	cl.mu.Lock()
-	ids := make([]types.NodeID, 0, len(cl.replicas))
-	for id := range cl.replicas {
-		ids = append(ids, id)
+	rs := make([]*replica.Replica, 0, len(cl.replicas))
+	for _, r := range cl.replicas {
+		rs = append(rs, r)
 	}
 	cl.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	sort.Slice(rs, func(i, j int) bool { return rs[i].ID() < rs[j].ID() })
 	var out []obs.LaneSnapshot
-	for _, id := range ids {
-		node := fmt.Sprintf("%d", id)
-		if ls, ok := cl.net.LaneStats(id); ok {
-			out = append(out, obs.LaneSnapshot{
-				Node: node, Lane: "read",
-				Enqueued: ls.Enqueued, Dequeued: ls.Dequeued,
-				MaxDepth: ls.MaxDepth, Busy: ls.Busy, Shed: ls.Shed,
-			})
-		}
-		if ws, ok := cl.net.WriteLaneStats(id); ok {
-			var drops uint64
-			if r := cl.Replica(id); r != nil {
-				drops = r.Stats().AppendDrops
-			}
-			out = append(out, obs.LaneSnapshot{
-				Node: node, Lane: "write",
-				Enqueued: ws.Enqueued, Dequeued: ws.Dequeued,
-				MaxDepth: ws.MaxDepth, Busy: ws.Busy, Drops: drops, Shed: ws.Shed,
-			})
-		}
+	for _, r := range rs {
+		out = append(out, r.LaneSnapshots()...)
 	}
 	return out
 }

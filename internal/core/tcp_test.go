@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"flexlog/internal/deploy"
+	"flexlog/internal/obs"
 	"flexlog/internal/proto"
 	"flexlog/internal/replica"
 	"flexlog/internal/seq"
@@ -153,6 +154,15 @@ func TestTCPClusterEndToEnd(t *testing.T) {
 	if _, err := client.Read(sns[0], 0); err == nil {
 		t.Fatal("trimmed record still readable")
 	}
+
+	// The handler-wrapped lanes report the same /debug/lanes rows as the
+	// in-process ones.
+	ids := []types.NodeID{1, 2, 3}
+	var snaps []obs.LaneSnapshot
+	for _, id := range ids {
+		snaps = append(snaps, tc.replicas[id].LaneSnapshots()...)
+	}
+	checkLaneSnapshots(t, snaps, ids, 5, 1)
 }
 
 // TestTCPRecoveryCatchesUpInBudgetedRounds crashes one replica of a TCP

@@ -134,23 +134,22 @@ func (r *Replica) traceAppend(token types.Token, po *pendingOrder, commitStart t
 }
 
 // LaneSnapshots reports this replica's transport lane state for
-// /debug/lanes on custom (TCP) endpoints, where the lanes are
-// handler-level and invisible to a Network. Nil for network-managed
-// replicas — the Cluster harness reads those via Network.LaneStats.
+// /debug/lanes: one row per enabled lane. The write-lane Drops column
+// carries the replica's append drops (persistence failures), the closest
+// thing a lane has to a loss counter.
 func (r *Replica) LaneSnapshots() []obs.LaneSnapshot {
 	node := fmt.Sprintf("%d", r.cfg.ID)
+	rs, ws := r.laneStats()
 	var out []obs.LaneSnapshot
-	if r.laneStats != nil {
-		ls := r.laneStats()
+	if r.cfg.ReadWorkers > 0 {
 		out = append(out, obs.LaneSnapshot{
 			Node: node, Lane: "read",
-			Enqueued: ls.Enqueued, Dequeued: ls.Dequeued,
-			MaxDepth: ls.MaxDepth, Busy: ls.Busy,
-			Shed: ls.Shed,
+			Enqueued: rs.Enqueued, Dequeued: rs.Dequeued,
+			MaxDepth: rs.MaxDepth, Busy: rs.Busy,
+			Shed: rs.Shed,
 		})
 	}
-	if r.wlaneStats != nil {
-		ws := r.wlaneStats()
+	if r.cfg.WriteWorkers > 0 {
 		out = append(out, obs.LaneSnapshot{
 			Node: node, Lane: "write",
 			Enqueued: ws.Enqueued, Dequeued: ws.Dequeued,

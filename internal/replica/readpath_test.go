@@ -171,9 +171,8 @@ func TestConcurrentReadsServedOnLane(t *testing.T) {
 	if got != n {
 		t.Fatalf("got %d read responses, want %d", got, n)
 	}
-	ls, ok := h.net.LaneStats(1)
-	if !ok || ls.Enqueued < n {
-		t.Fatalf("lane stats = %+v (ok=%v), want >= %d enqueued", ls, ok, n)
+	if ls, _ := h.net.LaneStats(1); ls.Enqueued < n {
+		t.Fatalf("lane stats = %+v, want >= %d enqueued", ls, n)
 	}
 }
 

@@ -105,13 +105,14 @@ type Config struct {
 	// across sequencer failover).
 	RetryTimeout time.Duration
 	// StoreFactory overrides how the storage stack is built (e.g. to
-	// re-attach to restored device snapshots); nil uses storage.New(Store).
+	// re-attach to restored device snapshots); nil uses storage.Open(Store).
 	StoreFactory func(storage.Config) (*storage.Store, error)
 	// Tenants declares the multi-tenant QoS envelope (DESIGN.md §13):
 	// per-tenant weighted-fair scheduling on both service lanes,
 	// token-bucket admission control at the append ingress, and typed
-	// Reject responses when a lane queue sheds. Empty = QoS off (legacy
-	// blocking lanes, no admission control).
+	// Reject responses when a lane queue sheds. Empty = QoS off (one
+	// default tenant per lane queue, a full queue blocks, no admission
+	// control).
 	Tenants []qos.TenantConfig
 
 	// Obs, when set, publishes the replica's counters into the registry and
@@ -292,12 +293,10 @@ type Replica struct {
 	stopCh     chan struct{}
 	stopOnce   sync.Once
 	wg         sync.WaitGroup
-	laneStop   func() // drains a handler-wrapped read lane (custom endpoints)
-
-	// Lane stats funcs, set only on custom endpoints (NewWithEndpoint);
-	// network-managed lanes report through Network.LaneStats instead.
-	laneStats  func() transport.LaneStats
-	wlaneStats func() transport.WriteLaneStats
+	laneStop   func() // drains handler-wrapped lanes (custom endpoints)
+	// laneStats snapshots the endpoint's read and write lanes, wherever
+	// they run (the Network or a handler wrapper).
+	laneStats func() (read, write transport.LaneStats)
 }
 
 // New creates a replica, attaches it to the network, and starts its timers.
@@ -311,6 +310,7 @@ func New(cfg Config, net *transport.Network) (*Replica, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.laneStats = func() (read, write transport.LaneStats) { return net.LaneStats(cfg.ID) }
 	r.ep = ep
 	r.ready.Store(true)
 	r.start()
@@ -326,9 +326,8 @@ func NewWithEndpoint(cfg Config, attach func(h transport.Handler) (transport.End
 		return nil, err
 	}
 	r := newReplica(cfg, st)
-	h, readStats, writeStats, stop := transport.WithLanes(r.handle, r.lanes())
-	r.laneStop = stop
-	r.laneStats, r.wlaneStats = readStats, writeStats
+	h, stats, stop := transport.WithLanes(r.handle, r.lanes())
+	r.laneStop, r.laneStats = stop, stats
 	ep, err := attach(h)
 	if err != nil {
 		stop()
@@ -351,7 +350,7 @@ func buildStore(cfg Config) (*storage.Store, error) {
 	if cfg.StoreFactory != nil {
 		return cfg.StoreFactory(cfg.Store)
 	}
-	return storage.New(cfg.Store)
+	return storage.Open(cfg.Store)
 }
 
 func newReplica(cfg Config, st *storage.Store) *Replica {

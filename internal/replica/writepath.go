@@ -45,15 +45,21 @@ func writeClass(msg transport.Message) (uint64, bool) {
 }
 
 // lanes builds the endpoint's lane configuration: the read lane
-// (readpath.go) plus the keyed write lane.
+// (readpath.go) plus the keyed write lane. With tracing on, each lane
+// reports queue wait into its tracer's lane_wait stage histogram.
 func (r *Replica) lanes() transport.Lanes {
-	l := transport.Lanes{Read: r.laneConfig()}
-	if r.cfg.WriteWorkers > 0 {
-		l.Write = transport.WriteLaneConfig{Workers: r.cfg.WriteWorkers, Key: writeClass, QoS: r.laneQoS()}
-		if r.appendTr != nil {
-			l.Write.Observe = func(queueWait, _ time.Duration) {
-				r.appendTr.ObserveStage("lane_wait", queueWait)
-			}
+	l := transport.Lanes{
+		Read:  transport.LaneConfig{Workers: r.cfg.ReadWorkers, Key: readClass, QoS: r.laneQoS()},
+		Write: transport.LaneConfig{Workers: r.cfg.WriteWorkers, Key: writeClass, QoS: r.laneQoS()},
+	}
+	if r.readTr != nil {
+		l.Read.Observe = func(queueWait, _ time.Duration) {
+			r.readTr.ObserveStage("lane_wait", queueWait)
+		}
+	}
+	if r.appendTr != nil {
+		l.Write.Observe = func(queueWait, _ time.Duration) {
+			r.appendTr.ObserveStage("lane_wait", queueWait)
 		}
 	}
 	return l

@@ -99,23 +99,11 @@ type Config struct {
 	// on: messages for different colors run on different workers while one
 	// color stays FIFO on one worker. 0 keeps the single delivery loop.
 	OrderWorkers int
-	// FlushThreshold is the pending-record count at which a color's queue
-	// triggers an urgent flush, skipping the rest of the BatchInterval
-	// linger (only when PipelinedFlush is on). 0 uses a default of 256;
-	// negative disables urgency entirely.
-	FlushThreshold int
-	// PipelinedFlush lets the flusher start a new upward round for a color
-	// while the previous round is still unanswered, and combines the
-	// rounds of multiple colors into a single AggOrderReqBatch frame to
-	// the parent. Off, the flusher behaves like the classic one-frame-
-	// per-color stage (a batch of one per color; still correct, just not
-	// overlapped).
-	PipelinedFlush bool
 }
 
-// defaultFlushThreshold is the urgent-flush pending-record trigger when
-// Config.FlushThreshold is zero.
-const defaultFlushThreshold = 256
+// urgentFlushRecords is the pending-record count at which a color's queue
+// triggers an urgent flush, skipping the rest of the BatchInterval linger.
+const urgentFlushRecords = 256
 
 // DefaultConfig fills the timing knobs with test-friendly values.
 func DefaultConfig() Config {
@@ -125,7 +113,6 @@ func DefaultConfig() Config {
 		FailureTimeout:    25 * time.Millisecond,
 		RetryTimeout:      50 * time.Millisecond,
 		TokenCacheSize:    1 << 20,
-		PipelinedFlush:    true,
 	}
 }
 
@@ -176,7 +163,7 @@ type Stats struct {
 	DroppedStale uint64
 
 	FlushRounds      uint64 // flusher passes over the pending queues
-	UrgentFlushes    uint64 // rounds triggered early by FlushThreshold
+	UrgentFlushes    uint64 // rounds triggered early by urgentFlushRecords
 	PipelinedBatches uint64 // upward batches sent while a prior round for the same color was unanswered
 }
 
@@ -208,8 +195,7 @@ type Sequencer struct {
 	batchSeq atomic.Uint64
 	inflight sync.Map // batchID uint64 → *inflight
 
-	urgent         atomic.Bool // a queue crossed FlushThreshold; skip the linger
-	flushThreshold int
+	urgent atomic.Bool // a queue crossed urgentFlushRecords; skip the linger
 
 	// Per-tenant accounting: built once at construction, read-only after.
 	tenantTotals  map[types.TenantID]*atomic.Uint64
@@ -273,7 +259,7 @@ func seqWriteClass(msg transport.Message) (uint64, bool) {
 // lanes builds the transport lane layout for this sequencer.
 func (s *Sequencer) lanes() transport.Lanes {
 	return transport.Lanes{
-		Write: transport.WriteLaneConfig{
+		Write: transport.LaneConfig{
 			Workers: s.cfg.OrderWorkers,
 			Key:     seqWriteClass,
 		},
@@ -283,15 +269,7 @@ func (s *Sequencer) lanes() transport.Lanes {
 // New creates the sequencer and registers it on the in-process network.
 func New(cfg Config, net *transport.Network) (*Sequencer, error) {
 	s := newSequencer(cfg)
-	var (
-		ep  transport.Endpoint
-		err error
-	)
-	if cfg.OrderWorkers > 0 {
-		ep, err = net.RegisterWithLanes(cfg.ID, s.handle, s.lanes())
-	} else {
-		ep, err = net.Register(cfg.ID, s.handle)
-	}
+	ep, err := net.RegisterWithLanes(cfg.ID, s.handle, s.lanes())
 	if err != nil {
 		return nil, err
 	}
@@ -306,17 +284,11 @@ func New(cfg Config, net *transport.Network) (*Sequencer, error) {
 // the message handler and return the endpoint.
 func NewWithEndpoint(cfg Config, attach func(h transport.Handler) (transport.Endpoint, error)) (*Sequencer, error) {
 	s := newSequencer(cfg)
-	h := transport.Handler(s.handle)
-	if cfg.OrderWorkers > 0 {
-		wrapped, _, _, stop := transport.WithLanes(h, s.lanes())
-		h = wrapped
-		s.laneStop = stop
-	}
+	h, _, stop := transport.WithLanes(s.handle, s.lanes())
+	s.laneStop = stop
 	ep, err := attach(h)
 	if err != nil {
-		if s.laneStop != nil {
-			s.laneStop()
-		}
+		stop()
 		return nil, err
 	}
 	s.ep = ep
@@ -345,14 +317,6 @@ func newSequencer(cfg Config) *Sequencer {
 	}
 	for i := range s.aggSeen {
 		s.aggSeen[i].m = make(map[childKey]types.SN)
-	}
-	switch {
-	case cfg.FlushThreshold > 0:
-		s.flushThreshold = cfg.FlushThreshold
-	case cfg.FlushThreshold == 0:
-		s.flushThreshold = defaultFlushThreshold
-	default:
-		s.flushThreshold = 0 // disabled
 	}
 	s.buildTenantCounters()
 	epoch := types.Epoch(1)
@@ -664,12 +628,12 @@ func replicaSetKey(shard types.ShardID, replicas []types.NodeID) string {
 }
 
 // enqueue appends one member to color's pending queue and wakes the
-// flusher; crossing FlushThreshold flags the round urgent so the flusher
-// skips the remainder of its linger window.
+// flusher; crossing urgentFlushRecords flags the round urgent so the
+// flusher skips the remainder of its linger window.
 func (s *Sequencer) enqueue(color types.ColorID, m member, se types.Epoch) {
 	q := s.queueFor(color)
 	q.push(m, se)
-	if s.cfg.PipelinedFlush && s.flushThreshold > 0 && q.nrec.Load() >= int64(s.flushThreshold) {
+	if q.nrec.Load() >= urgentFlushRecords {
 		if s.urgent.CompareAndSwap(false, true) {
 			s.c.urgentFlushes.Add(1)
 		}
@@ -685,7 +649,7 @@ func (s *Sequencer) kickFlusher() {
 }
 
 // flusherLoop merges pending members per color and sends them upward every
-// BatchInterval; an urgent flag (queue crossed FlushThreshold) cuts the
+// BatchInterval; an urgent flag (queue crossed urgentFlushRecords) cuts the
 // window short so a loaded leaf pipelines rounds back-to-back.
 func (s *Sequencer) flusherLoop() {
 	defer s.stopped.Done()
@@ -723,8 +687,9 @@ func (s *Sequencer) flusherLoop() {
 }
 
 // flushPending drains every pending queue and sends the aggregated rounds
-// upward — one AggOrderReqBatch per color, or, with PipelinedFlush, a
-// single AggOrderReqBatch combining all colors of the round. It never takes s.mu:
+// upward in a single AggOrderReqBatch combining all colors of the pass. A
+// color's new round may go up while its previous one is still unanswered
+// (counted as pipelined). It never takes s.mu:
 // staleness is decided per member by comparing its enqueue epoch against
 // the serving epoch, which also covers the not-leader case (serving epoch
 // 0 matches no member).
@@ -767,12 +732,7 @@ func (s *Sequencer) flushPending() {
 		}
 		s.inflight.Store(id, inf)
 		s.c.batchesSent.Add(1)
-		it := proto.AggOrderItem{Color: q.color, BatchID: id, Total: total}
-		if !s.cfg.PipelinedFlush {
-			s.ep.Send(parent, proto.AggOrderReqBatch{From: s.cfg.ID, Items: []proto.AggOrderItem{it}})
-			continue
-		}
-		items = append(items, it)
+		items = append(items, proto.AggOrderItem{Color: q.color, BatchID: id, Total: total})
 	}
 	if len(items) > 0 {
 		s.ep.Send(parent, proto.AggOrderReqBatch{From: s.cfg.ID, Items: items})

@@ -227,21 +227,6 @@ type Store struct {
 	checkpointH *obs.Histogram // checkpoint write latency
 }
 
-// New creates a Store with fresh devices per cfg.
-//
-// Deprecated: use Open. New delegates to Open with no options.
-func New(cfg Config) (*Store, error) {
-	return Open(cfg)
-}
-
-// NewWithDevices creates a Store over existing devices (used by tests and
-// by recovery flows that re-attach to surviving media).
-//
-// Deprecated: use Open with WithPMTier and WithSSDTier.
-func NewWithDevices(cfg Config, pool *pmem.Pool, dev *ssd.Device) (*Store, error) {
-	return Open(cfg, WithPMTier(pool), WithSSDTier(dev))
-}
-
 // Close stops the background lifecycle and the group committer (if any),
 // draining queued writes. The store remains readable; further writes fail
 // with ErrCommitterClosed.
@@ -1250,16 +1235,6 @@ func (st *Store) Stats() Stats {
 	return s
 }
 
-// Attach re-opens a store over devices holding a previous incarnation's
-// data (e.g. snapshots restored by cmd/flexlog-server): the PM slots are
-// located at their canonical offsets (the same layout Open creates) and
-// every volatile index is rebuilt by Recover's scan.
-//
-// Deprecated: use Open with WithPMTier, WithSSDTier and WithAttach.
-func Attach(cfg Config, pool *pmem.Pool, dev *ssd.Device) (*Store, error) {
-	return Open(cfg, WithPMTier(pool), WithSSDTier(dev), WithAttach())
-}
-
 // ssdDevice returns the raw device backing the cold tier, if it has one
 // (the SSD and LSM backends do).
 func (st *Store) ssdDevice() *ssd.Device {
@@ -1270,8 +1245,8 @@ func (st *Store) ssdDevice() *ssd.Device {
 }
 
 // SaveDevices snapshots both device tiers to files (see pmem.SaveTo and
-// ssd.SaveTo); Attach restores a store from them on the next boot. It
-// fails when the cold tier is not backed by a raw device.
+// ssd.SaveTo); Open with WithAttach restores a store from them on the next
+// boot. It fails when the cold tier is not backed by a raw device.
 func (st *Store) SaveDevices(pmPath, ssdPath string) error {
 	dev := st.ssdDevice()
 	if dev == nil {

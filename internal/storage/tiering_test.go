@@ -55,7 +55,7 @@ func TestOpenOptionsCompose(t *testing.T) {
 		t.Fatal("lifecycle not started despite budget")
 	}
 	// The deprecated shims must produce equivalent stores.
-	st2, err := New(smallConfig())
+	st2, err := Open(smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

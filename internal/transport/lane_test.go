@@ -13,9 +13,14 @@ import (
 type laneMsg struct{ N int }
 type mutMsg struct{ N int }
 
-func classifyLane(m Message) bool {
+func classifyLane(m Message) (uint64, bool) {
 	_, ok := m.(laneMsg)
-	return ok
+	return 0, ok
+}
+
+// readOnlyLanes is the read-lane half of Lanes over classifyLane.
+func readOnlyLanes(workers int) Lanes {
+	return Lanes{Read: LaneConfig{Workers: workers, Key: classifyLane}}
 }
 
 // TestLaneConcurrency proves classified messages are served concurrently:
@@ -27,7 +32,7 @@ func TestLaneConcurrency(t *testing.T) {
 	var mu sync.Mutex
 	inFlight, maxInFlight := 0, 0
 	release := make(chan struct{})
-	_, err := net.RegisterWithLane(1, func(from types.NodeID, msg Message) {
+	_, err := net.RegisterWithLanes(1, func(from types.NodeID, msg Message) {
 		mu.Lock()
 		inFlight++
 		if inFlight > maxInFlight {
@@ -38,7 +43,7 @@ func TestLaneConcurrency(t *testing.T) {
 		mu.Lock()
 		inFlight--
 		mu.Unlock()
-	}, LaneConfig{Workers: workers, Classify: classifyLane})
+	}, readOnlyLanes(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +72,7 @@ func TestLaneConcurrency(t *testing.T) {
 		}
 	}
 	close(release)
-	ls, ok := net.LaneStats(1)
-	if !ok {
-		t.Fatal("no lane stats for node 1")
-	}
-	if ls.Enqueued != workers {
+	if ls, _ := net.LaneStats(1); ls.Enqueued != workers {
 		t.Fatalf("lane enqueued = %d, want %d", ls.Enqueued, workers)
 	}
 }
@@ -88,14 +89,14 @@ func TestLaneMutationFIFO(t *testing.T) {
 		n        int
 	}
 	obsCh := make(chan obs, 1024)
-	_, err := net.RegisterWithLane(1, func(from types.NodeID, msg Message) {
+	_, err := net.RegisterWithLanes(1, func(from types.NodeID, msg Message) {
 		switch m := msg.(type) {
 		case mutMsg:
 			obsCh <- obs{n: m.N, mutsDone: mutSeen.Add(1)}
 		case laneMsg:
 			obsCh <- obs{read: true, n: m.N, mutsDone: mutSeen.Load()}
 		}
-	}, LaneConfig{Workers: 3, Classify: classifyLane})
+	}, readOnlyLanes(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,18 +136,18 @@ func TestLaneMutationFIFO(t *testing.T) {
 	}
 }
 
-// TestWithReadLaneWrapper exercises the handler-level pool used over
+// TestWithLanesReadOnly exercises the handler-level read pool used over
 // custom transports.
-func TestWithReadLaneWrapper(t *testing.T) {
+func TestWithLanesReadOnly(t *testing.T) {
 	var reads, muts atomic.Int64
 	h := func(from types.NodeID, msg Message) {
-		if classifyLane(msg) {
+		if _, ok := classifyLane(msg); ok {
 			reads.Add(1)
 		} else {
 			muts.Add(1)
 		}
 	}
-	wrapped, stats, stop := WithReadLane(h, LaneConfig{Workers: 2, Classify: classifyLane})
+	wrapped, stats, stop := WithLanes(h, readOnlyLanes(2))
 	for i := 0; i < 50; i++ {
 		wrapped(7, laneMsg{N: i})
 		wrapped(7, mutMsg{N: i})
@@ -158,12 +159,12 @@ func TestWithReadLaneWrapper(t *testing.T) {
 	if got := muts.Load(); got != 50 {
 		t.Fatalf("muts = %d, want 50", got)
 	}
-	if s := stats(); s.Enqueued != 50 || s.Dequeued != 50 {
+	if s, _ := stats(); s.Enqueued != 50 || s.Dequeued != 50 {
 		t.Fatalf("lane stats = %+v, want 50/50", s)
 	}
 
 	// Disabled lane passes straight through.
-	plain, _, stopPlain := WithReadLane(h, LaneConfig{})
+	plain, _, stopPlain := WithLanes(h, Lanes{})
 	plain(7, laneMsg{})
 	stopPlain()
 	if got := reads.Load(); got != 51 {

@@ -15,6 +15,9 @@ type qosMsg struct {
 	N int
 }
 
+// anyKey puts every message on the lane, at key 0.
+func anyKey(Message) (uint64, bool) { return 0, true }
+
 func qosTenantOf(m Message) (types.TenantID, bool) {
 	qm, ok := m.(qosMsg)
 	if !ok {
@@ -29,6 +32,7 @@ func qosTenantOf(m Message) (types.TenantID, bool) {
 // opens.
 type qosLaneHarness struct {
 	gate    chan struct{}
+	opened  sync.Once
 	started chan struct{}
 
 	mu    sync.Mutex
@@ -50,6 +54,10 @@ func (h *qosLaneHarness) handler(_ types.NodeID, m Message) {
 	h.got = append(h.got, m.(qosMsg))
 	h.mu.Unlock()
 }
+
+// release opens the gate; idempotent, so a failing test can defer it
+// ahead of the lane's close.
+func (h *qosLaneHarness) release() { h.opened.Do(func() { close(h.gate) }) }
 
 func (h *qosLaneHarness) shed(_ types.NodeID, m Message, _ types.TenantID) {
 	h.mu.Lock()
@@ -90,12 +98,11 @@ func waitDequeued(t *testing.T, n uint64, stats func() uint64) {
 // other tenants keep their headroom, and nothing blocks the caller.
 func TestLaneBackpressureRead(t *testing.T) {
 	h := newQoSLaneHarness()
-	l := newReadLane(LaneConfig{
-		Workers:  1,
-		Classify: func(Message) bool { return true },
-		QueueCap: 4,
-		QoS:      h.qos(nil),
-	}, h.handler, 0)
+	l := newLane(LaneConfig{
+		Workers: 1,
+		Key:     anyKey,
+		QoS:     h.qos(nil),
+	}, h.handler, 0, 1, 4)
 
 	// Park the worker, then fill tenant 2's queue to its bound.
 	if !l.dispatch(9, qosMsg{T: 2, N: 0}, time.Time{}) {
@@ -157,23 +164,22 @@ func TestLaneBackpressureRead(t *testing.T) {
 // blocking, and the key's messages that were accepted stay FIFO.
 func TestLaneBackpressureWrite(t *testing.T) {
 	h := newQoSLaneHarness()
-	l := newWriteLane(WriteLaneConfig{
-		Workers:  1,
-		Key:      func(Message) (uint64, bool) { return 7, true },
-		QueueCap: 3,
-		QoS:      h.qos(nil),
-	}, h.handler, 0)
+	l := newLane(LaneConfig{
+		Workers: 1,
+		Key:     func(Message) (uint64, bool) { return 7, true },
+		QoS:     h.qos(nil),
+	}, h.handler, 0, 1, 3)
 
-	if !l.dispatch(9, qosMsg{T: 2, N: 0}, time.Time{}, 7) {
+	if !l.dispatch(9, qosMsg{T: 2, N: 0}, time.Time{}) {
 		t.Fatal("dispatch on open lane reported closed")
 	}
 	<-h.started
 	for i := 1; i <= 3; i++ {
-		if !l.dispatch(9, qosMsg{T: 2, N: i}, time.Time{}, 7) {
+		if !l.dispatch(9, qosMsg{T: 2, N: i}, time.Time{}) {
 			t.Fatalf("dispatch %d reported closed", i)
 		}
 	}
-	if !l.dispatch(9, qosMsg{T: 2, N: 4}, time.Time{}, 7) {
+	if !l.dispatch(9, qosMsg{T: 2, N: 4}, time.Time{}) {
 		t.Fatal("shed dispatch must still report true")
 	}
 
@@ -196,7 +202,7 @@ func TestLaneBackpressureWrite(t *testing.T) {
 	}
 
 	l.close()
-	if l.dispatch(9, qosMsg{T: 2, N: 9}, time.Time{}, 7) {
+	if l.dispatch(9, qosMsg{T: 2, N: 9}, time.Time{}) {
 		t.Fatal("dispatch after close must report false")
 	}
 }
@@ -207,25 +213,24 @@ func TestLaneBackpressureWrite(t *testing.T) {
 // stays strictly FIFO.
 func TestLaneTenantFIFOWeightedDispatch(t *testing.T) {
 	h := newQoSLaneHarness()
-	l := newWriteLane(WriteLaneConfig{
-		Workers:  1,
-		Key:      func(Message) (uint64, bool) { return 1, true },
-		QueueCap: 64,
-		QoS:      h.qos(map[types.TenantID]uint32{1: 3, 2: 1}),
-	}, h.handler, 0)
+	l := newLane(LaneConfig{
+		Workers: 1,
+		Key:     func(Message) (uint64, bool) { return 1, true },
+		QoS:     h.qos(map[types.TenantID]uint32{1: 3, 2: 1}),
+	}, h.handler, 0, 1, 64)
 	defer l.close()
 
 	// Park the worker on a throwaway message so the queues below build up
 	// with no concurrent draining — the DRR order is then deterministic.
-	if !l.dispatch(9, qosMsg{T: 1, N: -1}, time.Time{}, 1) {
+	if !l.dispatch(9, qosMsg{T: 1, N: -1}, time.Time{}) {
 		t.Fatal("dispatch reported closed")
 	}
 	<-h.started
 	for i := 0; i < 8; i++ {
-		l.dispatch(9, qosMsg{T: 1, N: i}, time.Time{}, 1)
+		l.dispatch(9, qosMsg{T: 1, N: i}, time.Time{})
 	}
 	for i := 0; i < 4; i++ {
-		l.dispatch(9, qosMsg{T: 2, N: i}, time.Time{}, 1)
+		l.dispatch(9, qosMsg{T: 2, N: i}, time.Time{})
 	}
 	close(h.gate)
 	waitDequeued(t, 13, func() uint64 { return l.stats().Dequeued })
@@ -254,10 +259,9 @@ func TestLaneTenantFIFOConcurrent(t *testing.T) {
 	// One worker: handler invocation order then equals pop order, so
 	// within-tenant FIFO is directly observable (more workers could record
 	// two pops out of order even though the lane popped them FIFO).
-	l := newReadLane(LaneConfig{
-		Workers:  1,
-		Classify: func(Message) bool { return true },
-		QueueCap: perTenant + 1,
+	l := newLane(LaneConfig{
+		Workers: 1,
+		Key:     anyKey,
 		QoS: LaneQoS{
 			TenantOf: qosTenantOf,
 			Weights:  map[types.TenantID]uint32{1: 4, 2: 2, 3: 1},
@@ -267,7 +271,7 @@ func TestLaneTenantFIFOConcurrent(t *testing.T) {
 		mu.Lock()
 		seen[qm.T] = append(seen[qm.T], qm.N)
 		mu.Unlock()
-	}, 0)
+	}, 0, 1, perTenant+1)
 
 	var wg sync.WaitGroup
 	for _, tenant := range tenants {
@@ -302,5 +306,136 @@ func TestLaneTenantFIFOConcurrent(t *testing.T) {
 				t.Fatalf("tenant %d: message %d served at position %d — FIFO broken", tenant, n, i)
 			}
 		}
+	}
+}
+
+// qosKey keys a qosMsg by its tenant field, so the lane tests without QoS
+// can address write-lane queues with the same message type.
+func qosKey(m Message) (uint64, bool) { return uint64(m.(qosMsg).T), true }
+
+// TestLaneBackpressureUnshedBlocks pins the full-queue semantics without
+// QoS: a full queue blocks the dispatcher until a worker makes room, and
+// nothing is shed or lost.
+func TestLaneBackpressureUnshedBlocks(t *testing.T) {
+	h := newQoSLaneHarness()
+	l := newLane(LaneConfig{Workers: 1, Key: qosKey}, h.handler, 0, 1, 2)
+	defer l.close()
+	defer h.release()
+
+	// Park the worker, then fill the queue to its bound.
+	for i := 0; i <= 2; i++ {
+		if !l.dispatch(9, qosMsg{N: i}, time.Time{}) {
+			t.Fatalf("dispatch %d reported closed", i)
+		}
+		if i == 0 {
+			<-h.started
+		}
+	}
+	returned := make(chan bool)
+	go func() { returned <- l.dispatch(9, qosMsg{N: 3}, time.Time{}) }()
+	select {
+	case <-returned:
+		t.Fatal("dispatch into a full queue returned instead of blocking")
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	h.release()
+	select {
+	case ok := <-returned:
+		if !ok {
+			t.Fatal("unblocked dispatch reported closed")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("dispatch stayed blocked after the worker drained the queue")
+	}
+	waitDequeued(t, 4, func() uint64 { return l.stats().Dequeued })
+	if st := l.stats(); st.Shed != 0 || st.Enqueued != 4 {
+		t.Fatalf("lane stats = %+v, want 4 enqueued, 0 shed", st)
+	}
+	want := []qosMsg{{N: 0}, {N: 1}, {N: 2}, {N: 3}}
+	if got := h.served(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("served %v, want %v", got, want)
+	}
+}
+
+// TestLaneBackpressureUnshedKeyFIFO floods a write lane whose queues are
+// far smaller than the burst: every dispatch past the bound blocks, yet
+// each key's messages are all handled, in dispatch order.
+func TestLaneBackpressureUnshedKeyFIFO(t *testing.T) {
+	const keys, perKey, workers = 5, 300, 3
+	var mu sync.Mutex
+	seen := make(map[types.TenantID][]int)
+	l := newLane(LaneConfig{Workers: workers, Key: qosKey}, func(_ types.NodeID, m Message) {
+		qm := m.(qosMsg)
+		mu.Lock()
+		seen[qm.T] = append(seen[qm.T], qm.N)
+		mu.Unlock()
+	}, 0, workers, 2)
+	for i := 0; i < perKey; i++ {
+		for k := 0; k < keys; k++ {
+			if !l.dispatch(9, qosMsg{T: types.TenantID(k), N: i}, time.Time{}) {
+				t.Fatalf("dispatch key %d #%d reported closed", k, i)
+			}
+		}
+	}
+	l.close()
+
+	if st := l.stats(); st.Shed != 0 || st.Enqueued != keys*perKey || st.Dequeued != keys*perKey {
+		t.Fatalf("lane stats = %+v, want %d enqueued and dequeued, 0 shed", st, keys*perKey)
+	}
+	for k := 0; k < keys; k++ {
+		order := seen[types.TenantID(k)]
+		if len(order) != perKey {
+			t.Fatalf("key %d: handled %d of %d", k, len(order), perKey)
+		}
+		for i, n := range order {
+			if n != i {
+				t.Fatalf("key %d: message %d handled at position %d — FIFO broken", k, n, i)
+			}
+		}
+	}
+}
+
+// TestLaneBackpressureUnshedClose closes a lane while a dispatcher waits
+// on its full queue: the waiting dispatch reports false (its caller runs
+// the message inline), and close returns once the workers drain.
+func TestLaneBackpressureUnshedClose(t *testing.T) {
+	h := newQoSLaneHarness()
+	l := newLane(LaneConfig{Workers: 1, Key: qosKey}, h.handler, 0, 1, 1)
+	l.dispatch(9, qosMsg{N: 0}, time.Time{})
+	<-h.started
+	l.dispatch(9, qosMsg{N: 1}, time.Time{}) // fills the queue
+	returned := make(chan bool)
+	go func() { returned <- l.dispatch(9, qosMsg{N: 2}, time.Time{}) }()
+	select {
+	case <-returned:
+		t.Fatal("dispatch into a full queue returned instead of blocking")
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		l.close()
+		close(closed)
+	}()
+	select {
+	case ok := <-returned:
+		if ok {
+			t.Fatal("dispatch waiting through close reported queued")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("close left the waiting dispatcher blocked")
+	}
+	h.release()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("close did not return after the workers drained")
+	}
+	if got := len(h.served()); got != 2 {
+		t.Fatalf("served %d queued messages, want 2", got)
+	}
+	if l.dispatch(9, qosMsg{N: 3}, time.Time{}) {
+		t.Fatal("dispatch after close must report false")
 	}
 }

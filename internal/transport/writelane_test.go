@@ -43,7 +43,7 @@ func TestWriteLanePerKeyFIFO(t *testing.T) {
 		lastSeq[km.Key] = km.Seq
 		handled++
 		mu.Unlock()
-	}, Lanes{Write: WriteLaneConfig{Workers: 3, Key: keyOf}})
+	}, Lanes{Write: LaneConfig{Workers: 3, Key: keyOf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,10 +77,7 @@ func TestWriteLanePerKeyFIFO(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	ws, ok := net.WriteLaneStats(1)
-	if !ok {
-		t.Fatal("no write-lane stats for node 1")
-	}
+	_, ws := net.LaneStats(1)
 	if ws.Enqueued != keys*perKey || ws.Dequeued != keys*perKey {
 		t.Fatalf("write lane stats = %+v", ws)
 	}
@@ -91,8 +88,8 @@ func TestWriteLanePerKeyFIFO(t *testing.T) {
 	if perWorker != keys*perKey {
 		t.Fatalf("per-worker sum = %d", perWorker)
 	}
-	if nd := net.NodeWriteDelivered(); nd[1] != keys*perKey {
-		t.Fatalf("NodeWriteDelivered = %v", nd)
+	if nd := net.NodeDelivered(); nd[1] != keys*perKey {
+		t.Fatalf("NodeDelivered = %v", nd)
 	}
 }
 
@@ -116,7 +113,7 @@ func TestWriteLaneConcurrencyAcrossKeys(t *testing.T) {
 		mu.Lock()
 		inFlight--
 		mu.Unlock()
-	}, Lanes{Write: WriteLaneConfig{Workers: workers, Key: keyOf}})
+	}, Lanes{Write: LaneConfig{Workers: workers, Key: keyOf}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +162,9 @@ func TestWithLanesClassifiesBothWays(t *testing.T) {
 			seen["inline"]++
 		}
 	}
-	wrapped, readStats, writeStats, stop := WithLanes(h, Lanes{
-		Read:  LaneConfig{Workers: 2, Classify: classifyLane},
-		Write: WriteLaneConfig{Workers: 2, Key: keyOf},
+	wrapped, stats, stop := WithLanes(h, Lanes{
+		Read:  LaneConfig{Workers: 2, Key: classifyLane},
+		Write: LaneConfig{Workers: 2, Key: keyOf},
 	})
 	for i := 1; i <= 10; i++ {
 		wrapped(2, laneMsg{N: i})
@@ -180,10 +177,11 @@ func TestWithLanesClassifiesBothWays(t *testing.T) {
 	if seen["read"] != 10 || seen["write"] != 10 || seen["inline"] != 10 {
 		t.Fatalf("seen = %v", seen)
 	}
-	if rs := readStats(); rs.Dequeued != 10 {
+	rs, ws := stats()
+	if rs.Dequeued != 10 {
 		t.Fatalf("read stats = %+v", rs)
 	}
-	if ws := writeStats(); ws.Dequeued != 10 {
+	if ws.Dequeued != 10 {
 		t.Fatalf("write stats = %+v", ws)
 	}
 }
